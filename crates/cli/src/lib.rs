@@ -790,8 +790,11 @@ mod tests {
         assert!(out.contains("\"workload\": \"random:14x4@2\""));
     }
 
-    fn write_batch_fixture() -> (std::path::PathBuf, std::path::PathBuf) {
-        let dir = std::env::temp_dir().join("rchls-cli-batch-test");
+    /// Writes the batch fixture under a directory of its own per `test`:
+    /// tests run in parallel, and a shared file can be read while another
+    /// test rewrites it.
+    fn write_batch_fixture(test: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("rchls-cli-batch-test-{test}"));
         std::fs::create_dir_all(&dir).unwrap();
         let dfg_path = dir.join("chain.dfg");
         std::fs::write(
@@ -818,7 +821,7 @@ mod tests {
 
     #[test]
     fn batch_runs_mixed_sources_and_is_jobs_invariant() {
-        let (jobs_path, _) = write_batch_fixture();
+        let (jobs_path, _) = write_batch_fixture("mixed");
         let path = jobs_path.to_str().unwrap();
         let reference = run(&s(&["batch", path, "--jobs", "1"])).unwrap();
         // Feasible jobs carry reports with diagnostics; failures carry
@@ -873,7 +876,7 @@ mod tests {
 
     #[test]
     fn batch_output_is_cache_budget_and_jobs_invariant() {
-        let (jobs_path, _) = write_batch_fixture();
+        let (jobs_path, _) = write_batch_fixture("budget");
         let path = jobs_path.to_str().unwrap();
         let reference = run(&s(&["batch", path, "--jobs", "1"])).unwrap();
         // Eviction must never change a byte of the report: the full

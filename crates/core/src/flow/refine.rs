@@ -99,9 +99,10 @@ fn sort_queue(moves: &mut [MoveCandidate]) {
 /// Figure-6 result (when feasible), every uniform single-version design
 /// meeting the bounds, and the best allocation-first design; the most
 /// reliable member wins. `memoized_starts` selects the session-interned
-/// uniform-start pool (the fast pass) or a fresh recompute (the
-/// reference) — the pools are identical by construction, which the
-/// engine determinism suite checks.
+/// uniform-start pool and the bound-guided allocation search (the fast
+/// pass) or a fresh start pool and the naive allocation scan (the
+/// reference) — both pairs are identical by construction, which the
+/// golden and engine determinism suites check.
 fn portfolio_best(
     synth: &Synthesizer<'_>,
     figure6: Result<FlowState, SynthesisError>,
@@ -120,7 +121,7 @@ fn portfolio_best(
         synth.alloc_design(bounds, diagnostics)
     } else {
         candidates.extend(synth.uniform_feasible_starts_fresh(bounds)?);
-        alloc_search::best_allocation_design_diag(dfg, library, bounds, diagnostics)
+        alloc_search::best_allocation_design_reference(dfg, library, bounds, diagnostics)
     };
     candidates.extend(alloc.map(|(assignment, schedule, binding)| FlowState {
         assignment,
@@ -182,14 +183,17 @@ impl RefinePass for GreedyRefine {
 /// `design_reliability` products, full ASAP latency per scanned move,
 /// recounted version multisets through an independently written area
 /// floor (`area_floor_reference`), an independently written queue
-/// ordering (`sort_queue_reference`), and a fresh (never memoized)
-/// uniform start pool. Nothing but the procedure spec is shared with
-/// the optimized pass, so a bug in any optimized screen, cache, or
-/// comparator shows up as a golden-suite divergence instead of
-/// cancelling out. Byte-identical reports, an order of magnitude
-/// slower; kept so whole flows can be replayed through the naive
-/// kernel and diffed against the optimized one (the CI golden tests do
-/// exactly that).
+/// ordering (`sort_queue_reference`), a fresh (never memoized)
+/// uniform start pool, and the naive allocation scan
+/// ([`alloc_search::best_allocation_design_reference`]: every enumerated
+/// allocation list-scheduled by the unit-scanning reference scheduler).
+/// Nothing but the procedure spec and the allocation enumeration is
+/// shared with the optimized pass, so a bug in any optimized screen,
+/// cache, bound, or comparator shows up as a golden-suite divergence
+/// instead of cancelling out. Byte-identical reports, one to two orders
+/// of magnitude slower; kept so whole flows can be replayed through the
+/// naive kernels and diffed against the optimized ones (the CI golden
+/// tests do exactly that).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyReferenceRefine;
 

@@ -70,6 +70,21 @@ counter_handle!(
     /// `alloc_cache.misses` — allocation-first designs computed fresh.
     alloc_cache_misses, "alloc_cache.misses");
 counter_handle!(
+    /// `alloc_search.bound_pruned` — enumerated allocations the
+    /// allocation search skipped without list-scheduling them: the
+    /// slack-aware bound proved them infeasible or unable to beat the
+    /// incumbent.
+    alloc_search_bound_pruned, "alloc_search.bound_pruned");
+counter_handle!(
+    /// `alloc_search.scheduled` — allocations the allocation search
+    /// list-scheduled.
+    alloc_search_scheduled, "alloc_search.scheduled");
+counter_handle!(
+    /// `alloc_search.early_exits` — list-scheduled allocations abandoned
+    /// by an exact early exit (the run could no longer meet the latency
+    /// bound).
+    alloc_search_early_exits, "alloc_search.early_exits");
+counter_handle!(
     /// `scratch_pool.lends` — arenas handed out by [`crate::ScratchPool`].
     scratch_pool_lends, "scratch_pool.lends");
 counter_handle!(

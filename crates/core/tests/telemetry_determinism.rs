@@ -2,12 +2,13 @@
 //!
 //! Telemetry is out-of-band by construction: installing a sink or
 //! reading the metrics registry must never change a synthesis result,
-//! and the *deterministic* counters (cache hits/misses over
-//! distinct-fingerprint jobs) must not depend on the worker count.
-//! This suite holds the stack to both contracts:
+//! and the *deterministic* counters (cache hits/misses and
+//! allocation-search counters over distinct-fingerprint jobs) must not
+//! depend on the worker count. This suite holds the stack to both
+//! contracts:
 //!
-//! * identical deterministic cache tallies at `--jobs 1` and `--jobs 8`
-//!   (cold run all misses, warm re-run all hits);
+//! * identical deterministic tallies at `--jobs 1` and `--jobs 8` (cold
+//!   run all misses, warm re-run all hits), in a valid snapshot;
 //! * byte-identical batch documents with span sinks installed vs none;
 //! * a structurally valid Chrome trace whose sched/bind/refine spans
 //!   nest inside their enclosing `synth` span by timestamp containment.
@@ -70,9 +71,11 @@ fn distinct_jobs() -> Vec<SynthJob> {
     jobs
 }
 
-/// The deterministic counter subset: cache tallies over
-/// distinct-fingerprint jobs. Pool/executor counters are deliberately
-/// excluded — lends and queue depths legitimately vary with scheduling.
+/// The deterministic counter subset: cache tallies and allocation-search
+/// counters over distinct-fingerprint jobs (each distinct search runs
+/// exactly once, whatever the worker count). Pool/executor counters are
+/// deliberately excluded — lends and queue depths legitimately vary with
+/// scheduling.
 const DETERMINISTIC_COUNTERS: &[&str] = &[
     "synth_cache.hits",
     "synth_cache.misses",
@@ -81,6 +84,9 @@ const DETERMINISTIC_COUNTERS: &[&str] = &[
     "starts_cache.misses",
     "alloc_cache.hits",
     "alloc_cache.misses",
+    "alloc_search.bound_pruned",
+    "alloc_search.scheduled",
+    "alloc_search.early_exits",
 ];
 
 #[test]
@@ -103,6 +109,8 @@ fn deterministic_counters_match_across_worker_counts() {
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, jobs.len() as u64, "--jobs {workers}");
         assert_eq!(stats.hits, jobs.len() as u64, "--jobs {workers}");
+        metrics::validate_snapshot(&metrics::snapshot())
+            .unwrap_or_else(|e| panic!("--jobs {workers}: invalid snapshot: {e}"));
         tallies.push(
             DETERMINISTIC_COUNTERS
                 .iter()
@@ -124,6 +132,12 @@ fn deterministic_counters_match_across_worker_counts() {
     assert_eq!(get("synth_cache.hits"), jobs.len() as u64);
     assert_eq!(get("synth_cache.misses"), jobs.len() as u64);
     assert!(get("starts_cache.misses") > 0, "starts cache saw the batch");
+    // The allocation searches ran and explain themselves: some
+    // allocations were list-scheduled, some cut short, many never
+    // scheduled at all.
+    assert!(get("alloc_search.scheduled") > 0, "alloc search scheduled");
+    assert!(get("alloc_search.early_exits") > 0, "alloc search cut runs");
+    assert!(get("alloc_search.bound_pruned") > 0, "alloc search pruned");
 }
 
 #[test]
