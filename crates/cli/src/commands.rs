@@ -2,6 +2,7 @@
 
 use crate::args::ParsedArgs;
 use crate::error::CliError;
+use rchls_core::engine::KeyPrefix;
 use rchls_core::explore::format_table;
 use rchls_core::{
     flow, monte_carlo_reliability, Bounds, CacheBudget, Engine, FlowSpec, RedundancyModel,
@@ -468,6 +469,7 @@ pub fn synth(args: &ParsedArgs) -> Result<String, CliError> {
     }
     let result = session
         .synthesize_with_workload(
+            &KeyPrefix::new(&dfg, &library),
             &dfg,
             &library,
             bounds,

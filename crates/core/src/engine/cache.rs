@@ -9,6 +9,13 @@
 //! token`](crate::Strategy::fingerprint_token), never enum
 //! discriminants — so any structurally identical request, even from a
 //! rebuilt [`Dfg`] value or an out-of-tree strategy, hits the cache.
+//!
+//! Fingerprinting the graph and library is the expensive part of a key
+//! (a serialized walk of every node), and it is the same for every
+//! request on one graph. FNV-1a folds bytes left to right, so a key splits
+//! for free after that part: a [`KeyPrefix`] holds the state after
+//! `(DFG, library)`, computed once per interned workload or explored
+//! task, and [`KeyPrefix::key`] finishes each request's key from it.
 
 use crate::engine::budget::{BudgetedTable, CacheBudget};
 use crate::engine::fingerprint::Fingerprint;
@@ -30,6 +37,12 @@ pub struct CacheKey(u64);
 impl CacheKey {
     /// Fingerprints one synthesis request for a strategy, keyed by the
     /// flow's pass ids and the strategy's fingerprint token.
+    ///
+    /// This is the definition of a key: `KeyPrefix::new(dfg,
+    /// library).key(..)`, except that the one-off prefix is not counted
+    /// in `synth_cache.key_prefixes`. It walks the whole graph, so a
+    /// caller keying many requests on one graph keeps a [`KeyPrefix`]
+    /// instead.
     #[must_use]
     pub fn for_point(
         dfg: &Dfg,
@@ -39,20 +52,59 @@ impl CacheKey {
         model: RedundancyModel,
         strategy_token: &str,
     ) -> CacheKey {
-        let mut fp = Fingerprint::new();
-        fp.update(dfg);
-        fp.update(library);
-        fp.update(&bounds);
-        fp.update(flow);
-        fp.update(&model);
-        fp.update(strategy_token);
-        CacheKey(fp.finish())
+        KeyPrefix::walk(dfg, library).key(bounds, flow, model, strategy_token)
     }
 
     /// The raw 64-bit fingerprint.
     #[must_use]
     pub fn raw(self) -> u64 {
         self.0
+    }
+}
+
+/// The fingerprint state after a request's `(DFG, library)`: the part of
+/// a [`CacheKey`] that every request on one graph shares.
+///
+/// [`KeyPrefix::key`] finishes a key from it without touching the graph,
+/// byte-identical to [`CacheKey::for_point`] over the same inputs, so
+/// keys (and on-disk store entries) do not depend on which path made
+/// them. A prefix is only meaningful next to the graph and library it was
+/// computed from; [`SynthCache::synthesize_with_workload`] checks the
+/// pairing in debug builds.
+#[derive(Debug, Clone)]
+pub struct KeyPrefix(Fingerprint);
+
+impl KeyPrefix {
+    /// Fingerprints `(dfg, library)` (the whole-graph walk), counted in
+    /// the `synth_cache.key_prefixes` metric.
+    #[must_use]
+    pub fn new(dfg: &Dfg, library: &Library) -> KeyPrefix {
+        crate::obs::synth_cache_key_prefixes().incr();
+        KeyPrefix::walk(dfg, library)
+    }
+
+    fn walk(dfg: &Dfg, library: &Library) -> KeyPrefix {
+        let mut fp = Fingerprint::new();
+        fp.update(dfg);
+        fp.update(library);
+        KeyPrefix(fp)
+    }
+
+    /// The key of one request on this prefix's graph and library.
+    #[must_use]
+    pub fn key(
+        &self,
+        bounds: Bounds,
+        flow: &FlowSpec,
+        model: RedundancyModel,
+        strategy_token: &str,
+    ) -> CacheKey {
+        let mut fp = self.0.clone();
+        fp.update(&bounds);
+        fp.update(flow);
+        fp.update(&model);
+        fp.update(strategy_token);
+        CacheKey(fp.finish())
     }
 }
 
@@ -149,25 +201,18 @@ impl SynthCache {
     /// the memoized report if the fingerprint is known, otherwise
     /// synthesizes, stores, and returns the result. Infeasibility maps to
     /// `None`.
-    pub fn synthesize(
-        &self,
-        dfg: &Dfg,
-        library: &Library,
-        bounds: Bounds,
-        flow: &FlowSpec,
-        model: RedundancyModel,
-        strategy: &dyn Strategy,
-    ) -> Option<SynthReport> {
-        self.synthesize_with_workload(dfg, library, bounds, flow, model, strategy, None)
-    }
-
-    /// [`SynthCache::synthesize`] with the request's canonical workload
-    /// spec, when the caller knows it. The spec rides into on-disk
-    /// store entries as re-synthesis provenance (`rchls store verify`);
-    /// it never affects the cache key or the result.
+    ///
+    /// `prefix` is [`KeyPrefix::new`] of this `dfg` and `library`: the key
+    /// is finished from it, never from a fresh walk of the graph (debug
+    /// builds re-derive it with [`CacheKey::for_point`] and assert the two
+    /// agree). `workload`, the request's canonical spec when the caller
+    /// knows it, rides into on-disk store entries as re-synthesis
+    /// provenance (`rchls store verify`); it never affects the cache key
+    /// or the result.
     #[allow(clippy::too_many_arguments)]
     pub fn synthesize_with_workload(
         &self,
+        prefix: &KeyPrefix,
         dfg: &Dfg,
         library: &Library,
         bounds: Bounds,
@@ -177,13 +222,20 @@ impl SynthCache {
         workload: Option<&str>,
     ) -> Option<SynthReport> {
         let token = strategy.fingerprint_token();
-        let key = CacheKey::for_point(dfg, library, bounds, flow, model, &token);
-        let provenance = workload.map(|spec| Provenance {
-            workload: spec.to_owned(),
-            flow: flow.clone(),
-            model,
-        });
-        self.get_or_compute_with(key, bounds, &token, provenance.as_ref(), || {
+        let key = prefix.key(bounds, flow, model, &token);
+        debug_assert_eq!(
+            key,
+            CacheKey::for_point(dfg, library, bounds, flow, model, &token),
+            "key prefix paired with a graph or library it was not computed from"
+        );
+        let provenance = || {
+            workload.map(|spec| Provenance {
+                workload: spec.to_owned(),
+                flow: flow.clone(),
+                model,
+            })
+        };
+        self.get_or_compute_with(key, bounds, &token, provenance, || {
             strategy.run(
                 &SynthRequest::new(dfg, library, bounds)
                     .with_flow(flow.clone())
@@ -244,18 +296,18 @@ impl SynthCache {
         strategy_token: &str,
         compute: impl FnOnce() -> Result<SynthReport, SynthesisError>,
     ) -> Option<SynthReport> {
-        self.get_or_compute_with(key, bounds, strategy_token, None, compute)
+        self.get_or_compute_with(key, bounds, strategy_token, || None, compute)
     }
 
-    /// [`SynthCache::get_or_compute`] with optional store provenance
-    /// for the write-back path (see
-    /// [`SynthCache::synthesize_with_workload`]).
+    /// [`SynthCache::get_or_compute`] with store provenance for the
+    /// write-back path (see [`SynthCache::synthesize_with_workload`]),
+    /// built only when a fresh result is written back.
     fn get_or_compute_with(
         &self,
         key: CacheKey,
         bounds: Bounds,
         strategy_token: &str,
-        provenance: Option<&Provenance>,
+        provenance: impl FnOnce() -> Option<Provenance>,
         compute: impl FnOnce() -> Result<SynthReport, SynthesisError>,
     ) -> Option<SynthReport> {
         let mut collided = false;
@@ -303,7 +355,7 @@ impl SynthCache {
                         bounds,
                         strategy_token,
                         result.as_ref(),
-                        provenance,
+                        provenance(),
                     );
                 }
             }
@@ -398,15 +450,28 @@ mod tests {
         flow::strategy("ours").unwrap()
     }
 
+    /// One request through `cache` with the Table 1 library and the
+    /// default redundancy model, keyed from a prefix computed for it.
+    fn synth(
+        cache: &SynthCache,
+        dfg: &Dfg,
+        bounds: Bounds,
+        flow_spec: &FlowSpec,
+        strategy: &dyn Strategy,
+    ) -> Option<SynthReport> {
+        let lib = Library::table1();
+        let prefix = KeyPrefix::new(dfg, &lib);
+        let model = RedundancyModel::default();
+        cache.synthesize_with_workload(&prefix, dfg, &lib, bounds, flow_spec, model, strategy, None)
+    }
+
     #[test]
     fn identical_requests_hit() {
         let dfg = tiny();
-        let lib = Library::table1();
         let cache = SynthCache::new();
         let flow_spec = FlowSpec::default();
-        let model = RedundancyModel::default();
-        let first = cache.synthesize(&dfg, &lib, Bounds::new(6, 4), &flow_spec, model, &*ours());
-        let second = cache.synthesize(&dfg, &lib, Bounds::new(6, 4), &flow_spec, model, &*ours());
+        let first = synth(&cache, &dfg, Bounds::new(6, 4), &flow_spec, &*ours());
+        let second = synth(&cache, &dfg, Bounds::new(6, 4), &flow_spec, &*ours());
         assert_eq!(first, second);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(cache.len(), 1);
@@ -415,17 +480,15 @@ mod tests {
     #[test]
     fn structurally_equal_graphs_share_entries() {
         // A rebuilt graph with the same content fingerprints identically.
-        let lib = Library::table1();
         let cache = SynthCache::new();
         let combined = flow::strategy("combined").unwrap();
         for _ in 0..2 {
             let dfg = tiny();
-            cache.synthesize(
+            synth(
+                &cache,
                 &dfg,
-                &lib,
                 Bounds::new(6, 4),
                 &FlowSpec::default(),
-                RedundancyModel::default(),
                 &*combined,
             );
         }
@@ -435,29 +498,25 @@ mod tests {
     #[test]
     fn different_inputs_do_not_collide() {
         let dfg = tiny();
-        let lib = Library::table1();
         let cache = SynthCache::new();
-        let model = RedundancyModel::default();
         let flow_spec = FlowSpec::default();
         for kind in StrategyKind::TABLE2 {
-            cache.synthesize(
+            synth(
+                &cache,
                 &dfg,
-                &lib,
                 Bounds::new(6, 4),
                 &flow_spec,
-                model,
                 &*kind.strategy(),
             );
         }
-        cache.synthesize(&dfg, &lib, Bounds::new(7, 4), &flow_spec, model, &*ours());
-        cache.synthesize(&dfg, &lib, Bounds::new(6, 5), &flow_spec, model, &*ours());
+        synth(&cache, &dfg, Bounds::new(7, 4), &flow_spec, &*ours());
+        synth(&cache, &dfg, Bounds::new(6, 5), &flow_spec, &*ours());
         // A different pass id is a different point too.
-        cache.synthesize(
+        synth(
+            &cache,
             &dfg,
-            &lib,
             Bounds::new(6, 4),
             &FlowSpec::default().with_victim("min-reliability-loss"),
-            model,
             &*ours(),
         );
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 6 });
@@ -466,16 +525,14 @@ mod tests {
     #[test]
     fn infeasibility_is_cached_too() {
         let dfg = tiny();
-        let lib = Library::table1();
         let cache = SynthCache::new();
         for _ in 0..2 {
-            let out = cache.synthesize(
+            let out = synth(
+                &cache,
                 &dfg,
-                &lib,
                 // Latency 1 is impossible for two dependent ops.
                 Bounds::new(1, 4),
                 &FlowSpec::default(),
-                RedundancyModel::default(),
                 &*ours(),
             );
             assert!(out.is_none());
@@ -519,20 +576,14 @@ mod tests {
     #[test]
     fn budget_zero_evicts_everything_without_changing_outputs() {
         let dfg = tiny();
-        let lib = Library::table1();
         let unlimited = SynthCache::new();
         let zero = SynthCache::new();
         zero.set_budget(CacheBudget::limited(0));
         let flow_spec = FlowSpec::default();
-        let model = RedundancyModel::default();
         let bounds = Bounds::new(6, 4);
         for _ in 0..2 {
-            let cached = unlimited
-                .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
-                .unwrap();
-            let evicted = zero
-                .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
-                .unwrap();
+            let cached = synth(&unlimited, &dfg, bounds, &flow_spec, &*ours()).unwrap();
+            let evicted = synth(&zero, &dfg, bounds, &flow_spec, &*ours()).unwrap();
             // Only wall times may differ between a cache hit and a
             // recompute-after-eviction.
             assert_eq!(cached.design, evicted.design);
@@ -557,11 +608,9 @@ mod tests {
     #[test]
     fn a_poisoned_lock_does_not_wedge_the_cache() {
         let dfg = tiny();
-        let lib = Library::table1();
         let cache = SynthCache::new();
         let flow_spec = FlowSpec::default();
-        let model = RedundancyModel::default();
-        let first = cache.synthesize(&dfg, &lib, Bounds::new(6, 4), &flow_spec, model, &*ours());
+        let first = synth(&cache, &dfg, Bounds::new(6, 4), &flow_spec, &*ours());
         // Panic while holding the memo-table lock, as a panicking request
         // in a shared session would.
         let poisoner = std::thread::scope(|scope| {
@@ -575,9 +624,95 @@ mod tests {
         assert!(poisoner.is_err());
         assert!(cache.entries.is_poisoned());
         // The session keeps serving: the memoized entry still answers.
-        let second = cache.synthesize(&dfg, &lib, Bounds::new(6, 4), &flow_spec, model, &*ours());
+        let second = synth(&cache, &dfg, Bounds::new(6, 4), &flow_spec, &*ours());
         assert_eq!(first, second);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn prefix_keys_equal_full_keys() {
+        let lib = Library::table1();
+        let mut specs: Vec<String> = rchls_workloads::all_benchmarks()
+            .into_iter()
+            .map(|(name, _)| format!("builtin:{name}"))
+            .collect();
+        specs.extend(["random:24x4", "random:64x6", "random:256x16"].map(String::from));
+        let flows = [
+            FlowSpec::default(),
+            FlowSpec::default().with_scheduler("force-directed"),
+            FlowSpec::default().with_victim("min-reliability-loss"),
+        ];
+        let models = [RedundancyModel::DuplexAndNmr, RedundancyModel::NmrOnly];
+        let tokens = ["ours", "combined", "baseline", "pipelined@ii=2"];
+        let mut seen = std::collections::HashSet::new();
+        for spec in &specs {
+            let dfg = rchls_workloads::load_workload(spec).unwrap().dfg;
+            // One prefix serves every request on the graph.
+            let prefix = KeyPrefix::new(&dfg, &lib);
+            for bounds in [Bounds::new(12, 8), Bounds::new(6, 11)] {
+                for flow_spec in &flows {
+                    for model in models {
+                        for token in tokens {
+                            let key = prefix.key(bounds, flow_spec, model, token);
+                            let full =
+                                CacheKey::for_point(&dfg, &lib, bounds, flow_spec, model, token);
+                            assert_eq!(
+                                key, full,
+                                "{spec} {bounds} {flow_spec:?} {model:?} {token}"
+                            );
+                            seen.insert(key);
+                        }
+                    }
+                }
+            }
+        }
+        // Every input part moves the key.
+        assert_eq!(
+            seen.len(),
+            specs.len() * 2 * flows.len() * models.len() * tokens.len()
+        );
+    }
+
+    #[test]
+    fn keys_keep_their_stored_values() {
+        // On-disk store entries live under these keys: a change to the
+        // key's byte order must fail here, not orphan every store.
+        let lib = Library::table1();
+        let pinned = [
+            ("builtin:fir16", 12, 8, "ours", 0x83eb_6bb5_cc0b_4e61),
+            ("builtin:diffeq", 6, 11, "combined", 0x85b4_8223_49f4_27a8),
+            (
+                "random:64x6@2001",
+                16,
+                16,
+                "baseline",
+                0xba7c_b4f2_5afc_85e2,
+            ),
+            (
+                "random:512x16@2005",
+                64,
+                256,
+                "baseline",
+                0x0337_6b38_d8e3_90a9,
+            ),
+        ];
+        for (spec, latency, area, token, raw) in pinned {
+            let dfg = rchls_workloads::load_workload(spec).unwrap().dfg;
+            let key = CacheKey::for_point(
+                &dfg,
+                &lib,
+                Bounds::new(latency, area),
+                &FlowSpec::default(),
+                RedundancyModel::default(),
+                token,
+            );
+            assert_eq!(
+                key.raw(),
+                raw,
+                "{spec} {latency}/{area} {token}: {:#018x}",
+                key.raw()
+            );
+        }
     }
 
     #[test]
@@ -606,23 +741,17 @@ mod tests {
     fn store_tier_round_trips_across_sessions() {
         let store = store_at("roundtrip");
         let dfg = tiny();
-        let lib = Library::table1();
         let flow_spec = FlowSpec::default();
-        let model = RedundancyModel::default();
         let bounds = Bounds::new(6, 4);
 
         let cold = session_over(&store);
-        let first = cold
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
-            .unwrap();
+        let first = synth(&cold, &dfg, bounds, &flow_spec, &*ours()).unwrap();
         assert_eq!(cold.stats(), CacheStats { hits: 0, misses: 1 });
 
         // A brand-new session over the same root answers from disk:
         // same design, same scrubbed diagnostics, no synthesis run.
         let warm = session_over(&store);
-        let second = warm
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
-            .unwrap();
+        let second = synth(&warm, &dfg, bounds, &flow_spec, &*ours()).unwrap();
         assert_eq!(warm.stats(), CacheStats { hits: 1, misses: 0 });
         assert_eq!(first.design, second.design);
         assert_eq!(first.diagnostics.scrubbed(), second.diagnostics);
@@ -633,9 +762,7 @@ mod tests {
         // point count matches a cold-computed session, and the next
         // lookup never touches disk.
         assert_eq!(warm.seen_points(), 1);
-        let third = warm
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
-            .unwrap();
+        let third = synth(&warm, &dfg, bounds, &flow_spec, &*ours()).unwrap();
         assert_eq!(third, second);
         assert_eq!(warm.stats(), CacheStats { hits: 2, misses: 0 });
     }
@@ -644,19 +771,13 @@ mod tests {
     fn store_tier_records_infeasibility_too() {
         let store = store_at("infeasible");
         let dfg = tiny();
-        let lib = Library::table1();
         let flow_spec = FlowSpec::default();
-        let model = RedundancyModel::default();
         // Latency 1 is impossible for two dependent ops.
         let bounds = Bounds::new(1, 4);
         let cold = session_over(&store);
-        assert!(cold
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
-            .is_none());
+        assert!(synth(&cold, &dfg, bounds, &flow_spec, &*ours()).is_none());
         let warm = session_over(&store);
-        assert!(warm
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
-            .is_none());
+        assert!(synth(&warm, &dfg, bounds, &flow_spec, &*ours()).is_none());
         assert_eq!(warm.stats(), CacheStats { hits: 1, misses: 0 });
     }
 
@@ -664,14 +785,10 @@ mod tests {
     fn corrupt_store_entries_are_recomputed_never_served() {
         let store = store_at("corrupt");
         let dfg = tiny();
-        let lib = Library::table1();
         let flow_spec = FlowSpec::default();
-        let model = RedundancyModel::default();
         let bounds = Bounds::new(6, 4);
         let cold = session_over(&store);
-        let first = cold
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
-            .unwrap();
+        let first = synth(&cold, &dfg, bounds, &flow_spec, &*ours()).unwrap();
 
         // Truncate every live entry file behind the store's back.
         let mut corrupted = 0;
@@ -697,17 +814,13 @@ mod tests {
 
         // The warm session quarantines, recomputes, and matches.
         let warm = session_over(&store);
-        let second = warm
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
-            .unwrap();
+        let second = synth(&warm, &dfg, bounds, &flow_spec, &*ours()).unwrap();
         assert_eq!(warm.stats(), CacheStats { hits: 0, misses: 1 });
         assert_eq!(first.design, second.design);
         assert_eq!(store.stats().quarantined, 1);
         // The recompute wrote a clean entry back.
         let healed = session_over(&store);
-        let third = healed
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
-            .unwrap();
+        let third = synth(&healed, &dfg, bounds, &flow_spec, &*ours()).unwrap();
         assert_eq!(healed.stats(), CacheStats { hits: 1, misses: 0 });
         assert_eq!(second.design, third.design);
     }
@@ -725,9 +838,7 @@ mod tests {
         // engine schema change would leave behind.
         store.save(key.raw(), r#"{"era": "older-engine"}"#).unwrap();
         let cache = session_over(&store);
-        assert!(cache
-            .synthesize(&dfg, &lib, bounds, &flow_spec, model, &*ours())
-            .is_some());
+        assert!(synth(&cache, &dfg, bounds, &flow_spec, &*ours()).is_some());
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
         assert_eq!(store.stats().quarantined, 1);
     }

@@ -51,7 +51,7 @@ mod starts;
 pub mod store_tier;
 
 pub use budget::CacheBudget;
-pub use cache::{CacheKey, CacheStats, SynthCache};
+pub use cache::{CacheKey, CacheStats, KeyPrefix, SynthCache};
 pub use executor::SweepExecutor;
 pub use fingerprint::{fingerprint, Fingerprint};
 pub use starts::StartsCache;
@@ -285,6 +285,9 @@ pub struct InternedWorkload {
     pub spec: String,
     /// The shared graph.
     pub dfg: Arc<Dfg>,
+    /// The cache-key prefix of `dfg` under the engine's library. Private,
+    /// so only the engine that computed it can pair it with a graph.
+    prefix: KeyPrefix,
 }
 
 /// A synthesis session: one library, an open-ended stream of jobs.
@@ -433,7 +436,9 @@ impl Engine {
 
     /// Resolves a workload spec through the source registry, interning
     /// the result: the first resolution of a spec loads (or generates)
-    /// the graph, every later one returns the shared [`Arc`].
+    /// the graph and fingerprints it into the cache-key prefix every
+    /// later request on it reuses; every later resolution returns the
+    /// shared [`Arc`].
     ///
     /// # Errors
     ///
@@ -443,6 +448,9 @@ impl Engine {
             return Ok(found.clone());
         }
         let loaded = rchls_workloads::load_workload(spec)?;
+        // The graph walk happens outside the write lock, so resolving a
+        // large graph never stalls lookups of interned ones.
+        let prefix = KeyPrefix::new(&loaded.dfg, &self.library);
         let mut table = crate::sync::write_unpoisoned(&self.workloads);
         // Under the write lock, prefer any entry that appeared since the
         // read-lock miss — either this spelling (a racing resolver) or
@@ -453,6 +461,7 @@ impl Engine {
             None => InternedWorkload {
                 spec: loaded.spec.clone(),
                 dfg: Arc::new(loaded.dfg),
+                prefix,
             },
         };
         table
@@ -564,6 +573,7 @@ impl Engine {
             .ok_or_else(|| EngineError::UnknownStrategy(job.strategy.clone()))?;
         self.cache
             .synthesize_with_workload(
+                &workload.prefix,
                 &workload.dfg,
                 &self.library,
                 job.bounds(),

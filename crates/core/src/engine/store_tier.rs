@@ -141,7 +141,7 @@ pub(crate) fn save(
     bounds: Bounds,
     strategy_token: &str,
     report: Option<&SynthReport>,
-    provenance: Option<&Provenance>,
+    provenance: Option<Provenance>,
 ) {
     let entry = StoredEntry {
         strategy: strategy_token.to_owned(),
@@ -150,7 +150,7 @@ pub(crate) fn save(
             design: r.design.clone(),
             diagnostics: r.diagnostics.scrubbed(),
         }),
-        provenance: provenance.cloned(),
+        provenance,
     };
     // The engine-level spill point: drops the write before the store
     // even sees it, exercising the "synthesis must not notice a dead

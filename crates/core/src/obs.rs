@@ -46,6 +46,12 @@ counter_handle!(
     /// the session cache budget.
     synth_cache_evictions, "synth_cache.evictions");
 counter_handle!(
+    /// `synth_cache.key_prefixes` — `(DFG, library)` cache-key prefixes
+    /// computed for reuse ([`crate::engine::KeyPrefix::new`]): one per
+    /// workload an engine interns and per explored task. One-off full
+    /// keys (`CacheKey::for_point`) are not counted.
+    synth_cache_key_prefixes, "synth_cache.key_prefixes");
+counter_handle!(
     /// `starts_cache.evictions` — interned start pools dropped to stay
     /// under the session cache budget.
     starts_cache_evictions, "starts_cache.evictions");

@@ -87,6 +87,7 @@ const DETERMINISTIC_COUNTERS: &[&str] = &[
     "alloc_search.bound_pruned",
     "alloc_search.scheduled",
     "alloc_search.early_exits",
+    "synth_cache.key_prefixes",
 ];
 
 #[test]
@@ -131,6 +132,9 @@ fn deterministic_counters_match_across_worker_counts() {
     };
     assert_eq!(get("synth_cache.hits"), jobs.len() as u64);
     assert_eq!(get("synth_cache.misses"), jobs.len() as u64);
+    // Workloads resolve on the calling thread, one key prefix each (every
+    // job names its own workload); the warm batch walks no graph.
+    assert_eq!(get("synth_cache.key_prefixes"), jobs.len() as u64);
     assert!(get("starts_cache.misses") > 0, "starts cache saw the batch");
     // The allocation searches ran and explain themselves: some
     // allocations were list-scheduled, some cut short, many never
@@ -138,6 +142,34 @@ fn deterministic_counters_match_across_worker_counts() {
     assert!(get("alloc_search.scheduled") > 0, "alloc search scheduled");
     assert!(get("alloc_search.early_exits") > 0, "alloc search cut runs");
     assert!(get("alloc_search.bound_pruned") > 0, "alloc search pruned");
+}
+
+#[test]
+fn warm_synth_calls_reuse_the_interned_key_prefix() {
+    let _lock = telemetry_lock();
+    let workloads = ["builtin:figure4a", "builtin:diffeq", "random:16x4@3"];
+    let jobs: Vec<SynthJob> = workloads
+        .iter()
+        .flat_map(|spec| {
+            [
+                SynthJob::new(*spec, 8, 10),
+                SynthJob::new(*spec, 9, 12).with_strategy("combined"),
+            ]
+        })
+        .collect();
+    metrics::reset();
+    let engine = Engine::new(Library::table1()).with_jobs(1);
+    for i in 0..200 {
+        engine
+            .synth(&jobs[i % jobs.len()])
+            .expect("every job is feasible");
+    }
+    assert_eq!(engine.cache_stats().hits, 200 - jobs.len() as u64);
+    assert_eq!(
+        metrics::counter("synth_cache.key_prefixes").get(),
+        workloads.len() as u64,
+        "one graph walk per interned workload, none per request"
+    );
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! out-of-tree strategies sweep exactly like built-ins.
 
 use crate::pareto::{FrontierPoint, ParetoArchive};
-use rchls_core::engine::{SweepExecutor, SynthCache};
+use rchls_core::engine::{KeyPrefix, SweepExecutor, SynthCache};
 use rchls_core::explore::{inherit, StrategyDiagnostics, SweepRow};
 use rchls_core::{Bounds, Design, FlowSpec, RedundancyModel, Strategy, StrategyKind, SynthReport};
 use rchls_dfg::Dfg;
@@ -118,6 +118,7 @@ pub struct BenchmarkSweep {
 
 /// One unit of executor work: a strategy at a grid point of a benchmark.
 struct PointJob<'a> {
+    prefix: &'a KeyPrefix,
     dfg: &'a Dfg,
     benchmark: &'a str,
     workload: Option<&'a str>,
@@ -157,11 +158,18 @@ pub fn explore(
         .map(StrategyKind::strategy)
         .collect();
     let strategies_ref = &strategies;
+    // One graph walk per task, not one per grid point and strategy.
+    let prefixes: Vec<KeyPrefix> = tasks
+        .iter()
+        .map(|t| KeyPrefix::new(&t.dfg, library))
+        .collect();
     let jobs: Vec<PointJob<'_>> = tasks
         .iter()
-        .flat_map(|t| {
+        .zip(&prefixes)
+        .flat_map(|(t, prefix)| {
             t.grid.iter().flat_map(move |&(latency, area)| {
                 strategies_ref.iter().map(move |strategy| PointJob {
+                    prefix,
                     dfg: &t.dfg,
                     benchmark: &t.name,
                     workload: t.workload.as_deref(),
@@ -174,6 +182,7 @@ pub fn explore(
 
     let outcomes: Vec<Option<SynthReport>> = executor.run(&jobs, |job| {
         cache.synthesize_with_workload(
+            job.prefix,
             job.dfg,
             library,
             job.bounds,
@@ -273,10 +282,12 @@ pub(crate) fn synthesize_points(
         .into_iter()
         .map(StrategyKind::strategy)
         .collect();
+    let prefix = &KeyPrefix::new(&task.dfg, library);
     let jobs: Vec<PointJob<'_>> = points
         .iter()
         .flat_map(|&(latency, area)| {
             strategies.iter().map(move |strategy| PointJob {
+                prefix,
                 dfg: &task.dfg,
                 benchmark: &task.name,
                 workload: task.workload.as_deref(),
@@ -287,6 +298,7 @@ pub(crate) fn synthesize_points(
         .collect();
     let outcomes: Vec<Option<SynthReport>> = executor.run(&jobs, |job| {
         cache.synthesize_with_workload(
+            job.prefix,
             job.dfg,
             library,
             job.bounds,
