@@ -59,9 +59,55 @@
 //!   only for a candidate that beats the incumbent, placing each
 //!   operation on its version's lowest-index free unit.
 //!
+//! # The shared scan
+//!
+//! A search is prepared once — the lattice enumerated, bounded and
+//! sorted — and then scanned by any number of participants together:
+//!
+//! * an atomic cursor hands out fixed-size chunks of the bound-sorted
+//!   order, each scanned in order by one participant with its own
+//!   scratch;
+//! * the incumbent `(reliability, enumeration index, design)` sits under
+//!   a mutex, and its reliability is mirrored in an atomic for the prune
+//!   test, as is its index while it is a ceiling design;
+//! * a participant whose prune fires closes the cursor, and the search
+//!   returns once every participant has left.
+//!
+//! [`best_allocation_design`] is this scan with one participant, so it
+//! schedules exactly the allocations it always did. The session's
+//! allocation cache opens a leading search to callers that miss on the
+//! same key while it runs: each helps scan under an `alloc` span of its
+//! own, so traces book helper time as allocation time.
+//!
+//! The answer does not depend on the number of participants or on how
+//! their chunks interleave. The winner is the allocation with maximum
+//! reliability and, among those, the minimum enumeration index — the
+//! maximum of a total order on `(reliability, index)`, which the
+//! incumbent update keeps whatever order candidates arrive in. So the
+//! answer is the same as long as the winner itself is scheduled by some
+//! participant, and neither skip can drop it:
+//!
+//! * the incumbent prune fires only when `ub < incumbent × margin`, and
+//!   the bound is sound (`rel ≤ ub / margin`). Every incumbent, stale or
+//!   not, is a scheduled design no more reliable than the winner, so the
+//!   winner's `ub ≥ rel × margin ≥ incumbent × margin` never prunes. A
+//!   prune at one position also rules out every later one, since bounds
+//!   fall along the order and the incumbent only rises, so closing the
+//!   cursor skips only chunks that nobody could have needed;
+//! * the ceiling skip drops only larger indices than a scheduled design
+//!   that gives every node its class's most reliable version. No design
+//!   evaluates above such a design, so the winner ties it and has an
+//!   index no larger.
+//!
+//! A participant that unwinds mid-chunk may leave positions unscanned;
+//! the leader then scans the whole order once more before it returns.
+//!
 //! The search records three always-on counters per run:
 //! `alloc_search.bound_pruned`, `alloc_search.scheduled` and
-//! `alloc_search.early_exits`.
+//! `alloc_search.early_exits`. A helper can schedule an allocation that a
+//! lone scan would have pruned — an incumbent found in another chunk
+//! reaches it too late — so the counters repeat exactly only when no two
+//! identical searches overlap.
 
 use crate::bounds::Bounds;
 use crate::flow::Diagnostics;
@@ -70,7 +116,10 @@ use rchls_dfg::{Dfg, NodeId, OpClass};
 use rchls_relmath::serial_reliability;
 use rchls_reslib::{Library, VersionId};
 use rchls_sched::Schedule;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 mod bound;
 mod reference;
@@ -486,7 +535,7 @@ impl AllocScratch {
                         reliability
                             .total_cmp(&block.reliability)
                             .then(block.delay.cmp(&delay))
-                            == Ordering::Less
+                            == std::cmp::Ordering::Less
                     });
                     if better {
                         pick = Some((b, block.reliability, block.delay));
@@ -625,6 +674,9 @@ pub fn schedule_on_allocation(
     }
 }
 
+/// A design the search returns.
+type Design = (Assignment, Schedule, Binding);
+
 /// Full allocation search: the most reliable feasible design over the
 /// enumerated allocations, or `None` if none schedules within the bounds.
 ///
@@ -650,11 +702,7 @@ pub fn schedule_on_allocation(
 ///   Visits are bound-ordered, so the first such allocation ends the scan.
 /// * *Ceiling prune* — once the incumbent gives every node its class's
 ///   most reliable version, no later-enumerated allocation can beat it.
-pub fn best_allocation_design(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-) -> Option<(Assignment, Schedule, Binding)> {
+pub fn best_allocation_design(dfg: &Dfg, library: &Library, bounds: Bounds) -> Option<Design> {
     let mut diagnostics = Diagnostics::default();
     best_allocation_design_diag(dfg, library, bounds, &mut diagnostics)
 }
@@ -663,88 +711,279 @@ pub fn best_allocation_design(
 /// `diagnostics` — whether the enumeration cap truncated the candidate
 /// set ([`Diagnostics::alloc_cap_hit`]), so a capped search is reported
 /// instead of silently presenting a partial optimum as the global one.
+///
+/// This is the shared scan of the module docs with one participant.
 pub fn best_allocation_design_diag(
     dfg: &Dfg,
     library: &Library,
     bounds: Bounds,
     diagnostics: &mut Diagnostics,
-) -> Option<(Assignment, Schedule, Binding)> {
+) -> Option<Design> {
+    best_allocation_design_shared(dfg, library, bounds, diagnostics, |_| {}, || {})
+}
+
+/// [`best_allocation_design_diag`] that lets other threads help: `open`
+/// receives the prepared search once its order is built, so callers
+/// waiting on the same answer can [`AllocSearch::help`] scan it, and
+/// `close` runs once this thread's own scan has run out of chunks. The
+/// search then waits for its helpers and returns the same design as a
+/// lone scan.
+pub(crate) fn best_allocation_design_shared(
+    dfg: &Dfg,
+    library: &Library,
+    bounds: Bounds,
+    diagnostics: &mut Diagnostics,
+    open: impl FnOnce(Arc<AllocSearch>),
+    close: impl FnOnce(),
+) -> Option<Design> {
     let span = rchls_telemetry::span!(timed: "alloc");
     let _record_on_exit = AllocPhaseTimer(&span);
-    let mut scratch = AllocScratch::default();
-    if !scratch.prepare(dfg, library) {
-        return None;
+    let (search, mut scratch) = AllocSearch::prepare(dfg, library, bounds)?;
+    diagnostics.alloc_cap_hit |= search.lattice.capped;
+    let search = Arc::new(search);
+    open(Arc::clone(&search));
+    search.scan(dfg, library, &mut scratch);
+    close();
+    search.finish(dfg, library, &mut scratch)
+}
+
+/// Positions of the bound-sorted order a participant takes at a time.
+const CHUNK: usize = 64;
+
+/// Allocations one participant list-scheduled, and how many of those
+/// runs were cut short.
+#[derive(Debug, Default)]
+struct Tally {
+    scheduled: u64,
+    cut: u64,
+}
+
+/// Who is scanning a search right now, and whether anyone unwound.
+#[derive(Debug, Default)]
+struct Members {
+    active: usize,
+    panicked: bool,
+}
+
+/// A participant's membership in a scan. Leaving — also by unwinding —
+/// wakes the search's leader.
+struct Member<'a>(&'a AllocSearch);
+
+impl<'a> Member<'a> {
+    fn enter(search: &'a AllocSearch) -> Member<'a> {
+        crate::sync::lock_unpoisoned(&search.members).active += 1;
+        Member(search)
     }
-    let lattice = Lattice::enumerate(dfg, library, bounds.area);
-    diagnostics.alloc_cap_hit |= lattice.capped;
+}
 
-    let mut order: Vec<(f64, usize)> = {
-        let mut bound = bound::SlackBound::new(
-            dfg,
-            &scratch.topo,
-            &scratch.node_class,
-            library,
-            &lattice.versions,
-            bounds.latency,
-        );
-        (0..lattice.rows)
-            .filter_map(|idx| bound.upper_bound(lattice.row(idx)).map(|ub| (ub, idx)))
-            .collect()
-    };
-    // Highest bound first; enumeration index breaks ties so the naive
-    // scan's tie winner (smallest index) is met first.
-    order.sort_unstable_by(|(ua, ia), (ub, ib)| ub.total_cmp(ua).then(ia.cmp(ib)));
+impl Drop for Member<'_> {
+    fn drop(&mut self) {
+        let mut members = crate::sync::lock_unpoisoned(&self.0.members);
+        members.active -= 1;
+        members.panicked |= std::thread::panicking();
+        self.0.left.notify_all();
+    }
+}
 
-    // Worst-case relative rounding slack of the bound product vs the
-    // exact fold `design_reliability` performs.
-    let margin = 1.0 - (dfg.node_count() as f64 + 8.0) * 4.0 * f64::EPSILON;
-    let mut best: Option<(f64, usize, (Assignment, Schedule, Binding))> = None;
-    // Set once the incumbent assigns every node its class's most
-    // reliable version. The serial-product fold is monotone in each
-    // factor (replacing a factor with a larger one never decreases the
-    // rounded product), so no assignment evaluates above that
-    // incumbent's reliability — any later allocation can at best *tie*,
-    // and a tie only wins the (max reliability, first index) rule from a
-    // smaller enumeration index.
-    let mut best_is_ceiling = false;
-    let (mut scheduled, mut cut) = (0u64, 0u64);
-    for &(ub, idx) in &order {
-        if let Some((best_rel, best_idx, _)) = &best {
-            // Bounds only fall from here on, and the incumbent only rises.
-            if ub < best_rel * margin {
+/// A prepared allocation search that any number of threads scan
+/// together (see "The shared scan" in the module docs).
+#[derive(Debug)]
+pub(crate) struct AllocSearch {
+    bounds: Bounds,
+    lattice: Lattice,
+    /// `(bound, enumeration index)` of every allocation the bound leaves
+    /// feasible, highest bound first, ties by index.
+    order: Vec<(f64, usize)>,
+    /// Worst-case relative rounding slack of the bound product vs the
+    /// exact fold `design_reliability` performs.
+    margin: f64,
+    /// The next position of `order` to hand out.
+    cursor: AtomicUsize,
+    /// The incumbent: `(reliability, enumeration index, design)`.
+    best: Mutex<Option<(f64, usize, Design)>>,
+    /// The incumbent's reliability as `f64` bits (−∞ while there is
+    /// none), read by the prune test without the lock.
+    best_rel: AtomicU64,
+    /// The incumbent's enumeration index while it gives every node its
+    /// class's most reliable version, else `usize::MAX`.
+    ceiling: AtomicUsize,
+    members: Mutex<Members>,
+    left: Condvar,
+    scheduled: AtomicU64,
+    cut: AtomicU64,
+}
+
+impl AllocSearch {
+    /// Enumerates the lattice and sorts it by bound. Returns the search
+    /// and the preparing thread's scratch, or `None` for a cyclic graph.
+    fn prepare(
+        dfg: &Dfg,
+        library: &Library,
+        bounds: Bounds,
+    ) -> Option<(AllocSearch, AllocScratch)> {
+        let mut scratch = AllocScratch::default();
+        if !scratch.prepare(dfg, library) {
+            return None;
+        }
+        let lattice = Lattice::enumerate(dfg, library, bounds.area);
+        let mut order: Vec<(f64, usize)> = {
+            let mut bound = bound::SlackBound::new(
+                dfg,
+                &scratch.topo,
+                &scratch.node_class,
+                library,
+                &lattice.versions,
+                bounds.latency,
+            );
+            (0..lattice.rows)
+                .filter_map(|idx| bound.upper_bound(lattice.row(idx)).map(|ub| (ub, idx)))
+                .collect()
+        };
+        // Highest bound first; enumeration index breaks ties so the naive
+        // scan's tie winner (smallest index) is met first.
+        order.sort_unstable_by(|(ua, ia), (ub, ib)| ub.total_cmp(ua).then(ia.cmp(ib)));
+        let search = AllocSearch {
+            bounds,
+            lattice,
+            order,
+            margin: 1.0 - (dfg.node_count() as f64 + 8.0) * 4.0 * f64::EPSILON,
+            cursor: AtomicUsize::new(0),
+            best: Mutex::new(None),
+            best_rel: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+            ceiling: AtomicUsize::new(usize::MAX),
+            members: Mutex::new(Members::default()),
+            left: Condvar::new(),
+            scheduled: AtomicU64::new(0),
+            cut: AtomicU64::new(0),
+        };
+        Some((search, scratch))
+    }
+
+    /// Helps scan this search from another thread, on `dfg` and
+    /// `library` — the same content the search was prepared on — under
+    /// an `alloc` span of its own.
+    pub(crate) fn help(&self, dfg: &Dfg, library: &Library) {
+        let _span = rchls_telemetry::span!("alloc");
+        let mut scratch = AllocScratch::default();
+        if scratch.prepare(dfg, library) {
+            self.scan(dfg, library, &mut scratch);
+        }
+    }
+
+    /// Scans chunks of the order until none is left or the prune ends
+    /// the scan.
+    fn scan(&self, dfg: &Dfg, library: &Library, scratch: &mut AllocScratch) {
+        let _member = Member::enter(self);
+        let mut tally = Tally::default();
+        while let Some(chunk) = self.next_chunk() {
+            if !self.scan_range(chunk, dfg, library, scratch, &mut tally) {
+                // Every later position is pruned as well.
+                self.cursor.fetch_max(self.order.len(), Ordering::Relaxed);
                 break;
             }
-            if best_is_ceiling && idx > *best_idx {
+        }
+        self.scheduled.fetch_add(tally.scheduled, Ordering::Relaxed);
+        self.cut.fetch_add(tally.cut, Ordering::Relaxed);
+    }
+
+    /// The next chunk of positions nobody has taken, if any.
+    fn next_chunk(&self) -> Option<Range<usize>> {
+        let from = self.cursor.fetch_add(CHUNK, Ordering::Relaxed);
+        (from < self.order.len()).then(|| from..(from + CHUNK).min(self.order.len()))
+    }
+
+    /// Scans `positions` of the order in turn. Returns `false` when the
+    /// incumbent prune fired, which rules out every later position too.
+    fn scan_range(
+        &self,
+        positions: Range<usize>,
+        dfg: &Dfg,
+        library: &Library,
+        scratch: &mut AllocScratch,
+        tally: &mut Tally,
+    ) -> bool {
+        for &(ub, idx) in &self.order[positions] {
+            // Bounds only fall from here on, and the incumbent only rises.
+            if ub < f64::from_bits(self.best_rel.load(Ordering::Relaxed)) * self.margin {
+                return false;
+            }
+            if idx > self.ceiling.load(Ordering::Relaxed) {
                 continue;
             }
-        }
-        scheduled += 1;
-        scratch.load(library, lattice.allocation(idx));
-        match scratch.list(dfg, bounds.latency) {
-            Listing::Complete => {}
-            Listing::Cut => {
-                cut += 1;
-                continue;
+            tally.scheduled += 1;
+            scratch.load(library, self.lattice.allocation(idx));
+            match scratch.list(dfg, self.bounds.latency) {
+                Listing::Complete => {}
+                Listing::Cut => {
+                    tally.cut += 1;
+                    continue;
+                }
+                Listing::Failed => continue,
             }
-            Listing::Failed => continue,
+            let rel = scratch.reliability(library);
+            if rel >= f64::from_bits(self.best_rel.load(Ordering::Relaxed)) {
+                self.offer(rel, idx, dfg, library, scratch);
+            }
         }
-        let rel = scratch.reliability(library);
+        true
+    }
+
+    /// Makes the complete run in `scratch` — allocation `idx`, reaching
+    /// `rel` — the incumbent if it wins the (max reliability, first
+    /// index) rule against the current one and its schedule validates.
+    fn offer(&self, rel: f64, idx: usize, dfg: &Dfg, library: &Library, scratch: &AllocScratch) {
+        let mut best = crate::sync::lock_unpoisoned(&self.best);
         let better = best.as_ref().is_none_or(|(best_rel, best_idx, _)| {
             rel > *best_rel || (rel == *best_rel && idx < *best_idx)
         });
         if !better {
-            continue;
+            return;
         }
         if let Some(design) = scratch.design(dfg, library) {
-            debug_assert!(design.2.total_area(library) <= bounds.area);
-            best_is_ceiling = scratch.all_most_reliable();
-            best = Some((rel, idx, design));
+            debug_assert!(design.2.total_area(library) <= self.bounds.area);
+            // The serial-product fold is monotone in each factor
+            // (replacing a factor with a larger one never decreases the
+            // rounded product), so no assignment evaluates above an
+            // all-most-reliable design: a later allocation can at best
+            // tie, and a tie only wins from a smaller index.
+            let ceiling = if scratch.all_most_reliable() {
+                idx
+            } else {
+                usize::MAX
+            };
+            self.ceiling.store(ceiling, Ordering::Relaxed);
+            self.best_rel.store(rel.to_bits(), Ordering::Relaxed);
+            *best = Some((rel, idx, design));
         }
     }
-    crate::obs::alloc_search_bound_pruned().add(lattice.rows as u64 - scheduled);
-    crate::obs::alloc_search_scheduled().add(scheduled);
-    crate::obs::alloc_search_early_exits().add(cut);
-    best.map(|(.., design)| design)
+
+    /// Waits until no participant is scanning, records the search
+    /// counters, and takes the winner. If a participant unwound, the
+    /// positions it held may be unscanned, so every position is scanned
+    /// again here; the incumbent stays valid throughout.
+    fn finish(&self, dfg: &Dfg, library: &Library, scratch: &mut AllocScratch) -> Option<Design> {
+        let panicked = {
+            let mut members = crate::sync::lock_unpoisoned(&self.members);
+            while members.active > 0 {
+                members = crate::sync::wait_unpoisoned(&self.left, members);
+            }
+            std::mem::take(&mut members.panicked)
+        };
+        if panicked {
+            let mut tally = Tally::default();
+            self.scan_range(0..self.order.len(), dfg, library, scratch, &mut tally);
+            self.scheduled.fetch_add(tally.scheduled, Ordering::Relaxed);
+            self.cut.fetch_add(tally.cut, Ordering::Relaxed);
+        }
+        let scheduled = self.scheduled.load(Ordering::Relaxed);
+        crate::obs::alloc_search_bound_pruned()
+            .add((self.lattice.rows as u64).saturating_sub(scheduled));
+        crate::obs::alloc_search_scheduled().add(scheduled);
+        crate::obs::alloc_search_early_exits().add(self.cut.load(Ordering::Relaxed));
+        crate::sync::lock_unpoisoned(&self.best)
+            .take()
+            .map(|(.., design)| design)
+    }
 }
 
 #[cfg(test)]
@@ -988,6 +1227,80 @@ mod tests {
                 schedule_on_allocation(&dfg, &lib, &allocation, bounds.latency),
                 schedule_on_allocation_reference(&dfg, &lib, &allocation, bounds.latency)
             );
+        }
+    }
+
+    /// Runs the shared search on `threads` participants started together
+    /// on a barrier, returning its design and cap flag.
+    fn shared_search(
+        dfg: &Dfg,
+        lib: &Library,
+        bounds: Bounds,
+        threads: usize,
+    ) -> (Option<Design>, bool) {
+        let mut diagnostics = Diagnostics::default();
+        let barrier = std::sync::Barrier::new(threads);
+        let design = std::thread::scope(|scope| {
+            let open = |search: Arc<AllocSearch>| {
+                for _ in 1..threads {
+                    let (search, barrier) = (Arc::clone(&search), &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        search.help(dfg, lib);
+                    });
+                }
+                barrier.wait();
+            };
+            best_allocation_design_shared(dfg, lib, bounds, &mut diagnostics, open, || {})
+        });
+        (design, diagnostics.alloc_cap_hit)
+    }
+
+    #[test]
+    fn shared_scan_matches_the_reference_at_any_participant_count() {
+        let lib = Library::table1();
+        for (spec, dfg, bounds) in kernel_corpus() {
+            let mut diagnostics = Diagnostics::default();
+            let reference = best_allocation_design_reference(&dfg, &lib, bounds, &mut diagnostics);
+            let expected = (reference, diagnostics.alloc_cap_hit);
+            for threads in [1, 2, 4] {
+                assert_eq!(
+                    shared_search(&dfg, &lib, bounds, threads),
+                    expected,
+                    "{spec} at {bounds} on {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_helper_that_unwinds_mid_chunk_loses_no_allocation() {
+        let lib = Library::table1();
+        for (spec, dfg, bounds) in kernel_corpus().into_iter().step_by(3) {
+            let mut diagnostics = Diagnostics::default();
+            let reference = best_allocation_design_reference(&dfg, &lib, bounds, &mut diagnostics);
+            let (search, mut scratch) = AllocSearch::prepare(&dfg, &lib, bounds).unwrap();
+            let (took, taken) = std::sync::mpsc::channel();
+            let (go, fail) = std::sync::mpsc::channel::<()>();
+            let design = std::thread::scope(|scope| {
+                let search = &search;
+                let helper = scope.spawn(move || {
+                    let _member = Member::enter(search);
+                    took.send(search.next_chunk()).unwrap();
+                    fail.recv().unwrap();
+                    panic!("the helper fails mid-chunk");
+                });
+                // The helper holds the best-bounded chunk when the leader
+                // starts scanning, and unwinds while the leader scans or
+                // waits for it.
+                assert_eq!(taken.recv().unwrap().map(|chunk| chunk.start), Some(0));
+                search.scan(&dfg, &lib, &mut scratch);
+                go.send(()).unwrap();
+                let design = search.finish(&dfg, &lib, &mut scratch);
+                assert!(helper.join().is_err(), "the helper panicked");
+                design
+            });
+            assert_eq!(design, reference, "{spec} at {bounds}");
         }
     }
 

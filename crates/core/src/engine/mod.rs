@@ -47,6 +47,7 @@ mod budget;
 mod cache;
 mod executor;
 mod fingerprint;
+mod flight;
 mod starts;
 pub mod store_tier;
 

@@ -16,11 +16,20 @@
 //! [`Synthesizer`](crate::Synthesizer) through the
 //! [`SynthRequest`](crate::SynthRequest), so engine batches, explorer
 //! sweeps, and CLI sweeps all share one pool table per session.
+//!
+//! Workers that miss on the same key at the same time compute it once:
+//! the first leads, and the others join its single-flight slot and
+//! answer from the value it publishes. Joiners on an allocation search
+//! help scan it; joiners on a start pool only wait.
 
+use crate::alloc_search::{
+    best_allocation_design_diag, best_allocation_design_shared, AllocSearch,
+};
 use crate::bounds::Bounds;
 use crate::engine::budget::BudgetedTable;
 use crate::engine::cache::CacheStats;
 use crate::engine::fingerprint::Fingerprint;
+use crate::engine::flight::{Claim, Flights, Leader};
 use crate::error::SynthesisError;
 use crate::flow::{Diagnostics, FlowState};
 use crate::synth::Synthesizer;
@@ -78,21 +87,86 @@ impl AllocEntry {
     }
 }
 
+/// The request facts a start pool is computed for: bounds, scheduler
+/// id and binder id. Entries with the same key but other facts are
+/// fingerprint collisions.
+type PoolFacts = (Bounds, String, String);
+
+/// Where a request's answer comes from.
+enum Source<'a, E, F, S> {
+    /// The table, or a computation in flight (`true`: the caller waited
+    /// on one), had the entry.
+    Hit(E, bool),
+    /// An entry or computation with the same key but other facts: compute
+    /// fresh and leave the result uncached.
+    Collision,
+    /// Nobody had it: the caller computes, inserts, then publishes.
+    Lead(Leader<'a, F, S, E>),
+}
+
+/// Finds the answer to a request for `key` in `table` or among its
+/// `flights`, or makes the caller the leader of its computation. `same`
+/// tells an entry of the request's facts from a collision; a caller that
+/// joins a computation runs `help` on the work its leader opens.
+fn find<'a, E: Clone, F: PartialEq, S>(
+    table: &Mutex<BudgetedTable<E>>,
+    flights: &'a Flights<F, S, E>,
+    key: u64,
+    same: impl Fn(&E) -> bool,
+    facts: impl FnOnce() -> F,
+    help: impl FnMut(&S),
+) -> Source<'a, E, F, S> {
+    let lookup = || {
+        crate::sync::lock_unpoisoned(table).get(key).map(|entry| {
+            if same(entry) {
+                Source::Hit(entry.clone(), false)
+            } else {
+                Source::Collision
+            }
+        })
+    };
+    if let Some(found) = lookup() {
+        return found;
+    }
+    let leader = match flights.claim(key, facts(), help) {
+        Claim::Lead(leader) => leader,
+        Claim::Joined(entry) => return Source::Hit(entry, true),
+        Claim::Collision => return Source::Collision,
+    };
+    // A leader may have inserted the entry and retired its slot between
+    // the lookup and the claim.
+    match lookup() {
+        Some(Source::Hit(entry, _)) => {
+            leader.publish(entry.clone());
+            Source::Hit(entry, false)
+        }
+        Some(found) => found,
+        None => Source::Lead(leader),
+    }
+}
+
 /// A thread-safe memo table of refine-portfolio ingredients: the uniform
 /// feasible start pools (keyed by a content fingerprint of `(dfg,
 /// library, bounds, scheduler id, binder id)`) and the allocation-first
 /// designs (keyed by `(dfg, library, bounds)` — the allocation search
 /// runs its own list scheduler, independent of the flow's passes).
 ///
-/// Mirrors the [`SynthCache`](crate::engine::SynthCache) locking discipline: the
-/// lock is never held across a computation, racing workers compute the
-/// same deterministic pool, and a fingerprint collision (an entry whose
-/// recorded request facts differ) is computed fresh and left uncached
-/// rather than answered wrongly.
+/// Mirrors the [`SynthCache`](crate::engine::SynthCache) locking
+/// discipline — a table lock is never held across a computation — and
+/// adds single-flight slots (see `engine::flight`): a miss on a key
+/// another worker is already computing joins that computation instead
+/// of repeating it. A joiner on an allocation search helps scan it; a
+/// joiner on a start pool only waits. Joiners count as hits, so misses
+/// equal the distinct keys computed at any worker count. A fingerprint
+/// collision (an entry or in-flight computation whose request facts
+/// differ) is computed fresh and left uncached rather than answered
+/// wrongly.
 #[derive(Default)]
 pub struct StartsCache {
     entries: Mutex<BudgetedTable<StartsEntry>>,
     alloc: Mutex<BudgetedTable<AllocEntry>>,
+    pool_flights: Flights<PoolFacts, (), StartsEntry>,
+    alloc_flights: Flights<Bounds, AllocSearch, AllocEntry>,
     hits: AtomicU64,
     misses: AtomicU64,
     alloc_hits: AtomicU64,
@@ -164,7 +238,8 @@ impl StartsCache {
     }
 
     /// Hit/miss counters for the uniform start pool table. Collisions
-    /// count as misses (the pool is computed fresh).
+    /// count as misses (the pool is computed fresh); joining an
+    /// in-flight computation counts as a hit.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -182,8 +257,21 @@ impl StartsCache {
         }
     }
 
+    fn pool_hit(&self, joined: bool) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        crate::obs::starts_cache_hits().incr();
+        if joined {
+            crate::obs::starts_cache_joined().incr();
+        }
+    }
+
+    fn pool_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        crate::obs::starts_cache_misses().incr();
+    }
+
     /// The uniform feasible start pool for `synth` at `bounds`: answered
-    /// from the cache when interned (replaying the recorded
+    /// from the cache when interned or in flight (replaying the recorded
     /// scheduler/binder call counts into the synthesizer's phase
     /// accounting), computed fresh — and interned — otherwise.
     ///
@@ -205,28 +293,29 @@ impl StartsCache {
         fp.update(&flow.scheduler);
         fp.update(&flow.binder);
         let key = fp.finish();
-
-        if let Some(entry) = crate::sync::lock_unpoisoned(&self.entries).get(key) {
-            if entry.bounds == bounds
+        let same = |entry: &StartsEntry| {
+            entry.bounds == bounds
                 && entry.scheduler == flow.scheduler
                 && entry.binder == flow.binder
-            {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                crate::obs::starts_cache_hits().incr();
+        };
+        let facts = || (bounds, flow.scheduler.clone(), flow.binder.clone());
+        let leader = match find(&self.entries, &self.pool_flights, key, same, facts, |()| {}) {
+            Source::Hit(entry, joined) => {
+                self.pool_hit(joined);
                 synth.replay_pass_calls(entry.sched_calls, entry.bind_calls);
-                return Ok(entry.states.clone());
+                return Ok(entry.states);
             }
-            // Fingerprint collision: compute fresh, don't poison the
-            // existing entry.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            crate::obs::starts_cache_misses().incr();
-            return synth.uniform_feasible_starts_fresh(bounds);
-        }
+            Source::Collision => {
+                self.pool_miss();
+                return synth.uniform_feasible_starts_fresh(bounds);
+            }
+            Source::Lead(leader) => leader,
+        };
 
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        crate::obs::starts_cache_misses().incr();
+        self.pool_miss();
         let _span = rchls_telemetry::span!("starts.compute");
         let before = synth.pass_call_counts();
+        // An error drops the leader unpublished: joiners compute it again.
         let states = synth.uniform_feasible_starts_fresh(bounds)?;
         let after = synth.pass_call_counts();
         let entry = StartsEntry {
@@ -240,23 +329,38 @@ impl StartsCache {
         let bytes = entry.approx_bytes();
         let (evicted, resident) = {
             let mut table = crate::sync::lock_unpoisoned(&self.entries);
-            let evicted = table.insert(key, entry, bytes);
+            let evicted = table.insert(key, entry.clone(), bytes);
             (evicted, table.resident_bytes())
         };
         crate::obs::starts_cache_evictions().add(evicted);
         crate::obs::starts_cache_resident_bytes().record(resident as u64);
+        leader.publish(entry);
         Ok(states)
     }
 }
 
 impl StartsCache {
+    fn alloc_hit(&self, joined: bool) {
+        self.alloc_hits.fetch_add(1, Ordering::Relaxed);
+        crate::obs::alloc_cache_hits().incr();
+        if joined {
+            crate::obs::alloc_cache_joined().incr();
+        }
+    }
+
+    fn alloc_miss(&self) {
+        self.alloc_misses.fetch_add(1, Ordering::Relaxed);
+        crate::obs::alloc_cache_misses().incr();
+    }
+
     /// The allocation-first portfolio design for `synth` at `bounds`,
     /// interned per `(dfg, library, bounds)`: the design (or its
     /// absence) and the search's cap-hit flag are recorded into
     /// `diagnostics` exactly as a fresh
     /// [`best_allocation_design_diag`](crate::alloc_search::best_allocation_design_diag)
     /// run would record them, so reports are byte-identical across cache
-    /// states.
+    /// states. A miss on a search another worker is running helps scan
+    /// it and returns its answer.
     pub(crate) fn alloc_design(
         &self,
         synth: &Synthesizer<'_>,
@@ -269,49 +373,52 @@ impl StartsCache {
         fp.update(synth.library());
         fp.update(&bounds);
         let key = fp.finish();
-
-        if let Some(entry) = crate::sync::lock_unpoisoned(&self.alloc).get(key) {
-            if entry.bounds == bounds {
-                self.alloc_hits.fetch_add(1, Ordering::Relaxed);
-                crate::obs::alloc_cache_hits().incr();
-                diagnostics.alloc_cap_hit |= entry.cap_hit;
-                return entry.design.clone();
+        let same = |entry: &AllocEntry| entry.bounds == bounds;
+        let help = |search: &AllocSearch| search.help(synth.dfg(), synth.library());
+        let entry = match find(&self.alloc, &self.alloc_flights, key, same, || bounds, help) {
+            Source::Hit(entry, joined) => {
+                self.alloc_hit(joined);
+                entry
             }
-            // Fingerprint collision: compute fresh, leave the entry be.
-            self.alloc_misses.fetch_add(1, Ordering::Relaxed);
-            crate::obs::alloc_cache_misses().incr();
-            return crate::alloc_search::best_allocation_design_diag(
-                synth.dfg(),
-                synth.library(),
-                bounds,
-                diagnostics,
-            );
-        }
-
-        self.alloc_misses.fetch_add(1, Ordering::Relaxed);
-        crate::obs::alloc_cache_misses().incr();
-        let mut fresh = Diagnostics::default();
-        let design = crate::alloc_search::best_allocation_design_diag(
-            synth.dfg(),
-            synth.library(),
-            bounds,
-            &mut fresh,
-        );
-        diagnostics.alloc_cap_hit |= fresh.alloc_cap_hit;
-        let entry = AllocEntry {
-            bounds,
-            design: design.clone(),
-            cap_hit: fresh.alloc_cap_hit,
+            Source::Collision => {
+                self.alloc_miss();
+                return best_allocation_design_diag(
+                    synth.dfg(),
+                    synth.library(),
+                    bounds,
+                    diagnostics,
+                );
+            }
+            Source::Lead(leader) => {
+                self.alloc_miss();
+                let mut fresh = Diagnostics::default();
+                let design = best_allocation_design_shared(
+                    synth.dfg(),
+                    synth.library(),
+                    bounds,
+                    &mut fresh,
+                    |search| leader.open(search),
+                    || leader.close(),
+                );
+                let entry = AllocEntry {
+                    bounds,
+                    design,
+                    cap_hit: fresh.alloc_cap_hit,
+                };
+                let bytes = entry.approx_bytes();
+                let (evicted, resident) = {
+                    let mut table = crate::sync::lock_unpoisoned(&self.alloc);
+                    let evicted = table.insert(key, entry.clone(), bytes);
+                    (evicted, table.resident_bytes())
+                };
+                crate::obs::alloc_cache_evictions().add(evicted);
+                crate::obs::alloc_cache_resident_bytes().record(resident as u64);
+                leader.publish(entry.clone());
+                entry
+            }
         };
-        let bytes = entry.approx_bytes();
-        let (evicted, resident) = {
-            let mut table = crate::sync::lock_unpoisoned(&self.alloc);
-            let evicted = table.insert(key, entry, bytes);
-            (evicted, table.resident_bytes())
-        };
-        crate::obs::alloc_cache_evictions().add(evicted);
-        crate::obs::alloc_cache_resident_bytes().record(resident as u64);
-        design
+        diagnostics.alloc_cap_hit |= entry.cap_hit;
+        entry.design
     }
 }
 
@@ -377,5 +484,35 @@ mod tests {
         .unwrap();
         let _ = cache.get_or_compute(&force, bounds).unwrap();
         assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn concurrent_identical_requests_compute_once() {
+        let dfg = rchls_workloads::load_workload("random:24x4@5").unwrap().dfg;
+        let lib = Library::table1();
+        let cache = StartsCache::new();
+        let bounds = Bounds::new(8, 18);
+        let expected = crate::alloc_search::best_allocation_design(&dfg, &lib, bounds);
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let synth = Synthesizer::new(&dfg, &lib);
+                    barrier.wait();
+                    let pool = cache.get_or_compute(&synth, bounds).unwrap();
+                    assert!(!pool.is_empty());
+                    let mut diagnostics = Diagnostics::default();
+                    let design = cache.alloc_design(&synth, bounds, &mut diagnostics);
+                    assert_eq!(design, expected);
+                });
+            }
+        });
+        // Whoever arrived while another worker computed joined it.
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 3));
+        assert_eq!(
+            (cache.alloc_stats().misses, cache.alloc_stats().hits),
+            (1, 3)
+        );
+        assert_eq!((cache.seen_len(), cache.alloc_seen_len()), (1, 1));
     }
 }

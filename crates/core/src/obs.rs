@@ -76,6 +76,16 @@ counter_handle!(
     /// `alloc_cache.misses` — allocation-first designs computed fresh.
     alloc_cache_misses, "alloc_cache.misses");
 counter_handle!(
+    /// `starts_cache.joined` — start-pool hits that waited on another
+    /// worker's in-flight computation of the same pool (also counted in
+    /// `starts_cache.hits`).
+    starts_cache_joined, "starts_cache.joined");
+counter_handle!(
+    /// `alloc_cache.joined` — allocation-design hits that joined, and
+    /// helped scan, another worker's in-flight search for the same key
+    /// (also counted in `alloc_cache.hits`).
+    alloc_cache_joined, "alloc_cache.joined");
+counter_handle!(
     /// `alloc_search.bound_pruned` — enumerated allocations the
     /// allocation search skipped without list-scheduling them: the
     /// slack-aware bound proved them infeasible or unable to beat the

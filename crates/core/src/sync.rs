@@ -18,11 +18,23 @@
 //! case be a stale or missing cache entry — a recompute, never a wrong
 //! answer.
 
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Locks `m`, recovering (and counting) a poisoned guard.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| {
+        crate::obs::lock_poisoned().incr();
+        poisoned.into_inner()
+    })
+}
+
+/// Waits on `changed` with `guard`'s lock, recovering (and counting) a
+/// poisoned guard on wake-up.
+pub(crate) fn wait_unpoisoned<'a, T>(
+    changed: &Condvar,
+    guard: MutexGuard<'a, T>,
+) -> MutexGuard<'a, T> {
+    changed.wait(guard).unwrap_or_else(|poisoned| {
         crate::obs::lock_poisoned().incr();
         poisoned.into_inner()
     })

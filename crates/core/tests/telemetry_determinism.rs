@@ -2,13 +2,16 @@
 //!
 //! Telemetry is out-of-band by construction: installing a sink or
 //! reading the metrics registry must never change a synthesis result,
-//! and the *deterministic* counters (cache hits/misses and
+//! and the *deterministic* counters (cache hits/misses, and
 //! allocation-search counters over distinct-fingerprint jobs) must not
 //! depend on the worker count. This suite holds the stack to both
 //! contracts:
 //!
 //! * identical deterministic tallies at `--jobs 1` and `--jobs 8` (cold
 //!   run all misses, warm re-run all hits), in a valid snapshot;
+//! * on `ours` + `combined` pairs that share their searches, identical
+//!   documents and start/alloc cache tallies at both worker counts, with
+//!   misses equal to the distinct keys computed;
 //! * byte-identical batch documents with span sinks installed vs none;
 //! * a structurally valid Chrome trace whose sched/bind/refine spans
 //!   nest inside their enclosing `synth` span by timestamp containment.
@@ -75,7 +78,15 @@ fn distinct_jobs() -> Vec<SynthJob> {
 /// counters over distinct-fingerprint jobs (each distinct search runs
 /// exactly once, whatever the worker count). Pool/executor counters are
 /// deliberately excluded — lends and queue depths legitimately vary with
-/// scheduling.
+/// scheduling — and so are the `*.joined` tallies, which count how often
+/// two workers happened to overlap.
+///
+/// The `alloc_search.*` counters are pinned only here, on jobs whose
+/// searches are all distinct: when two identical searches overlap, the
+/// second helps scan the first, and a helper can schedule an allocation
+/// that a lone scan would have pruned (the incumbent that rules it out is
+/// found in another chunk too late). The answer is the same; the counts
+/// of work done are not.
 const DETERMINISTIC_COUNTERS: &[&str] = &[
     "synth_cache.hits",
     "synth_cache.misses",
@@ -142,6 +153,82 @@ fn deterministic_counters_match_across_worker_counts() {
     assert!(get("alloc_search.scheduled") > 0, "alloc search scheduled");
     assert!(get("alloc_search.early_exits") > 0, "alloc search cut runs");
     assert!(get("alloc_search.bound_pruned") > 0, "alloc search pruned");
+}
+
+/// `ours` and `combined` on the same points: `combined` re-runs `ours`'s
+/// synthesis before it adds redundancy, so both strategies of a point
+/// ask for the same start pools and the same allocation search — at
+/// `--jobs 8` usually while the other is still computing them.
+fn shared_point_jobs() -> Vec<SynthJob> {
+    let mut points: Vec<(String, u32, u32)> = (0..6u64)
+        .map(|seed| (format!("random:16x4@{seed}"), 8, 10))
+        .collect();
+    points.push(("builtin:diffeq".to_owned(), 6, 11));
+    points
+        .into_iter()
+        .flat_map(|(spec, latency, area)| {
+            [
+                SynthJob::new(spec.clone(), latency, area),
+                SynthJob::new(spec, latency, area).with_strategy("combined"),
+            ]
+        })
+        .collect()
+}
+
+/// Start and alloc cache tallies that single-flight slots make
+/// deterministic for any job set: a request that finds its key in flight
+/// joins it and counts as a hit.
+const SHARED_CACHE_COUNTERS: &[&str] = &[
+    "starts_cache.hits",
+    "starts_cache.misses",
+    "alloc_cache.hits",
+    "alloc_cache.misses",
+];
+
+#[test]
+fn shared_searches_compute_once_at_any_worker_count() {
+    let _lock = telemetry_lock();
+    let jobs = shared_point_jobs();
+    let mut documents = Vec::new();
+    let mut tallies: Vec<Vec<u64>> = Vec::new();
+    for workers in [1usize, 8] {
+        metrics::reset();
+        let engine = Engine::new(Library::table1()).with_jobs(workers);
+        let batch = engine.run_batch(&jobs);
+        documents.push(serde_json::to_string(&batch).expect("batch documents serialize"));
+        let alloc_misses = metrics::counter("alloc_cache.misses").get();
+        let starts_misses = metrics::counter("starts_cache.misses").get();
+        assert_eq!(
+            alloc_misses,
+            engine.alloc_designs() as u64,
+            "--jobs {workers}: one alloc search per distinct key"
+        );
+        assert_eq!(
+            starts_misses,
+            engine.starts_pools() as u64,
+            "--jobs {workers}: one start pool per distinct key"
+        );
+        assert_eq!(engine.alloc_cache_stats().misses, alloc_misses);
+        assert_eq!(engine.starts_cache_stats().misses, starts_misses);
+        assert!(
+            metrics::counter("alloc_cache.hits").get() > 0,
+            "--jobs {workers}: combined reuses ours's search"
+        );
+        tallies.push(
+            SHARED_CACHE_COUNTERS
+                .iter()
+                .map(|name| metrics::counter(name).get())
+                .collect(),
+        );
+    }
+    assert_eq!(
+        documents[0], documents[1],
+        "batch documents differ between --jobs 1 and --jobs 8"
+    );
+    assert_eq!(
+        tallies[0], tallies[1],
+        "start/alloc cache tallies diverged between --jobs 1 and --jobs 8"
+    );
 }
 
 #[test]
