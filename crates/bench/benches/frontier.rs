@@ -1,77 +1,44 @@
 //! Exploration-engine performance: the multi-benchmark sweep behind the
 //! paper's evaluation at increasing worker counts (the speedup the
-//! `rchls-explorer` executor buys), cache effectiveness on repeated
-//! sweeps, and Pareto-archive insertion throughput.
+//! engine's executor buys), cache effectiveness on repeated sweeps, and
+//! Pareto-archive insertion throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rchls_bench::paper_benchmarks;
-use rchls_core::{FlowSpec, RedundancyModel};
-use rchls_explorer::{
-    explore, ExploreTask, FrontierPoint, ParetoArchive, SweepExecutor, SynthCache,
-};
+use rchls_core::{Engine, FlowSpec, RedundancyModel};
+use rchls_explorer::{explore, FrontierPoint, ParetoArchive};
 use rchls_reslib::Library;
 use std::hint::black_box;
 
-fn tasks() -> Vec<ExploreTask> {
-    paper_benchmarks()
-        .into_iter()
-        .map(|(name, dfg, grid)| ExploreTask::new(name, dfg, grid))
-        .collect()
-}
-
 /// The full three-benchmark, three-strategy sweep at 1, 2, 4, and 8
-/// workers, each iteration on a cold cache — the headline scaling curve.
+/// workers, each iteration on a fresh engine — the headline scaling
+/// curve.
 fn bench_sweep_jobs(c: &mut Criterion) {
-    let library = Library::table1();
-    let tasks = tasks();
+    let tasks = paper_benchmarks();
+    let (flow, model) = (FlowSpec::default(), RedundancyModel::default());
     let mut group = c.benchmark_group("multi-benchmark-sweep");
     group.sample_size(10);
     for jobs in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("jobs", jobs), &jobs, |b, &jobs| {
             b.iter(|| {
-                let cache = SynthCache::new();
-                black_box(explore(
-                    &tasks,
-                    &library,
-                    &FlowSpec::default(),
-                    RedundancyModel::default(),
-                    SweepExecutor::new(jobs),
-                    &cache,
-                ))
+                let engine = Engine::new(Library::table1()).with_jobs(jobs);
+                black_box(explore(&engine, &tasks, &flow, model).unwrap())
             })
         });
     }
     group.finish();
 }
 
-/// The same sweep against a warm cache: the cost of a fully repeated
+/// The same sweep against a warm engine: the cost of a fully repeated
 /// exploration (fingerprint lookups only — no synthesis).
 fn bench_warm_cache(c: &mut Criterion) {
-    let library = Library::table1();
-    let tasks = tasks();
-    let cache = SynthCache::new();
-    let flow = FlowSpec::default();
-    let model = RedundancyModel::default();
+    let tasks = paper_benchmarks();
+    let (flow, model) = (FlowSpec::default(), RedundancyModel::default());
+    let engine = Engine::new(Library::table1()).with_jobs(4);
     // Warm it once.
-    let _ = explore(
-        &tasks,
-        &library,
-        &flow,
-        model,
-        SweepExecutor::new(4),
-        &cache,
-    );
+    let _ = explore(&engine, &tasks, &flow, model).unwrap();
     c.bench_function("multi-benchmark-sweep/warm-cache", |b| {
-        b.iter(|| {
-            black_box(explore(
-                &tasks,
-                &library,
-                &flow,
-                model,
-                SweepExecutor::new(4),
-                &cache,
-            ))
-        })
+        b.iter(|| black_box(explore(&engine, &tasks, &flow, model).unwrap()))
     });
 }
 

@@ -3,8 +3,8 @@
 //! cold in-memory cache (the restart-recovery path).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rchls_core::{FlowSpec, RedundancyModel};
-use rchls_explorer::{explore, ExploreTask, SweepExecutor, SynthCache};
+use rchls_core::{Engine, FlowSpec, RedundancyModel};
+use rchls_explorer::{explore, ExploreTask};
 use rchls_reslib::Library;
 use rchls_store::{Lookup, ResultStore};
 use std::hint::black_box;
@@ -40,46 +40,26 @@ fn bench_save_load(c: &mut Criterion) {
 }
 
 /// The restart path: a sweep whose every point replays from the store
-/// through a cold in-memory cache — decode + validate per point, no
-/// synthesis.
+/// through a fresh engine's cold in-memory cache — decode + validate per
+/// point, no synthesis.
 fn bench_store_tier_sweep(c: &mut Criterion) {
-    let library = Library::table1();
     let flow = FlowSpec::default();
     let model = RedundancyModel::default();
     let store = Arc::new(ResultStore::open(scratch("tier")).unwrap());
-    let workload = rchls_workloads::load_workload("builtin:diffeq").unwrap();
     let grid: Vec<(u32, u32)> = [5u32, 6, 7]
         .iter()
         .flat_map(|&l| [7u32, 11].iter().map(move |&a| (l, a)))
         .collect();
-    let task = [
-        ExploreTask::new(workload.dfg.name(), workload.dfg.clone(), grid)
-            .with_workload(workload.spec),
-    ];
+    let task = [ExploreTask::new("builtin:diffeq", grid)];
+    let session = || {
+        Engine::new(Library::table1())
+            .with_jobs(1)
+            .with_store(Arc::clone(&store))
+    };
     // Write the whole sweep through once.
-    let warm_cache = SynthCache::new();
-    warm_cache.set_store(Arc::clone(&store));
-    let _ = explore(
-        &task,
-        &library,
-        &flow,
-        model,
-        SweepExecutor::new(1),
-        &warm_cache,
-    );
+    let _ = explore(&session(), &task, &flow, model).unwrap();
     c.bench_function("store/cold-memory-warm-disk-sweep", |b| {
-        b.iter(|| {
-            let cache = SynthCache::new();
-            cache.set_store(Arc::clone(&store));
-            black_box(explore(
-                &task,
-                &library,
-                &flow,
-                model,
-                SweepExecutor::new(1),
-                &cache,
-            ))
-        })
+        b.iter(|| black_box(explore(&session(), &task, &flow, model).unwrap()))
     });
 }
 

@@ -1,11 +1,11 @@
 //! Regenerates **Figure 9**: per-benchmark average reliabilities of the
 //! three strategies over the Table-2 grids, computed through the
-//! parallel sweep executor.
+//! session engine's parallel executor.
 
 use rchls_bench::paper_benchmarks;
 use rchls_core::explore::averages;
-use rchls_core::{FlowSpec, RedundancyModel};
-use rchls_explorer::{explore, ExploreTask, SweepExecutor, SynthCache};
+use rchls_core::{Engine, FlowSpec, RedundancyModel};
+use rchls_explorer::explore;
 use rchls_reslib::Library;
 
 fn bar(v: f64) -> String {
@@ -13,20 +13,14 @@ fn bar(v: f64) -> String {
 }
 
 fn main() {
-    let library = Library::table1();
-    let tasks: Vec<ExploreTask> = paper_benchmarks()
-        .into_iter()
-        .map(|(name, dfg, grid)| ExploreTask::new(name, dfg, grid))
-        .collect();
-    let cache = SynthCache::new();
+    let tasks = paper_benchmarks();
     let exploration = explore(
+        &Engine::new(Library::table1()),
         &tasks,
-        &library,
         &FlowSpec::default(),
         RedundancyModel::default(),
-        SweepExecutor::default(),
-        &cache,
-    );
+    )
+    .expect("the paper benchmarks resolve under the default flow");
     println!("== Figure 9: average reliability per benchmark and strategy ==\n");
     for sweep in &exploration.sweeps {
         let (baseline, ours, combined) = averages(&sweep.rows);

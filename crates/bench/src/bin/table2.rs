@@ -3,31 +3,26 @@
 //! scheme — over a 3×3 bound grid for each of the FIR, EWF and DiffEq
 //! benchmarks.
 //!
-//! All three grids run through the parallel sweep executor with a shared
-//! synthesis cache; the output is byte-identical to the serial sweeps.
+//! All three grids run through one session engine (parallel executor,
+//! shared synthesis cache); the output is byte-identical to the serial
+//! sweeps.
 
 use rchls_bench::paper_benchmarks;
 use rchls_core::explore::format_table;
-use rchls_core::{FlowSpec, RedundancyModel};
-use rchls_explorer::{explore, ExploreTask, SweepExecutor, SynthCache};
+use rchls_core::{Engine, FlowSpec, RedundancyModel};
+use rchls_explorer::explore;
 use rchls_reslib::Library;
 
 fn main() {
-    let library = Library::table1();
-    let tasks: Vec<ExploreTask> = paper_benchmarks()
-        .into_iter()
-        .map(|(name, dfg, grid)| ExploreTask::new(name, dfg, grid))
-        .collect();
-    let cache = SynthCache::new();
-    let executor = SweepExecutor::default();
+    let engine = Engine::new(Library::table1());
+    let tasks = paper_benchmarks();
     let exploration = explore(
+        &engine,
         &tasks,
-        &library,
         &FlowSpec::default(),
         RedundancyModel::default(),
-        executor,
-        &cache,
-    );
+    )
+    .expect("the paper benchmarks resolve under the default flow");
     for (task, sweep) in tasks.iter().zip(&exploration.sweeps) {
         let label = match sweep.benchmark.as_str() {
             "fir16" => "Table 2(a): FIR filter",
@@ -35,7 +30,12 @@ fn main() {
             "diffeq" => "Table 2(c): differential equation solver",
             other => other,
         };
-        println!("== {label} ({} ops) ==\n", task.dfg.node_count());
+        let ops = engine
+            .workload(&task.workload)
+            .expect("resolved by explore")
+            .dfg
+            .node_count();
+        println!("== {label} ({ops} ops) ==\n");
         println!("{}", format_table(&sweep.rows));
     }
     println!(
@@ -43,11 +43,10 @@ fn main() {
          area bound is loose enough for wholesale redundancy, and the\n\
          combined column dominating Ref [3] everywhere."
     );
-    let stats = cache.stats();
     println!(
         "\n[{} synthesis runs across {} workers; {} Pareto-optimal designs]",
-        stats.misses,
-        executor.jobs(),
+        engine.cache_stats().misses,
+        engine.jobs(),
         exploration.frontier.len()
     );
 }

@@ -16,7 +16,7 @@
 
 pub mod perf;
 
-use rchls_dfg::Dfg;
+use rchls_explorer::ExploreTask;
 use rchls_reslib::Library;
 
 /// The `(Ld, Ad)` grid used for one benchmark's Table-2 block.
@@ -75,17 +75,14 @@ fn cross(ls: &[u32], ads: &[u32]) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// A paper benchmark: name, graph, and its Table-2 bound grid.
-pub type PaperBenchmark = (&'static str, Dfg, Vec<(u32, u32)>);
-
-/// The three paper benchmarks with their Table-2 grids.
+/// The three paper benchmarks as exploration tasks over their Table-2
+/// grids.
 #[must_use]
-pub fn paper_benchmarks() -> Vec<PaperBenchmark> {
-    vec![
-        ("fir16", rchls_workloads::fir16(), table2_grid("fir16")),
-        ("ewf", rchls_workloads::ewf(), table2_grid("ewf")),
-        ("diffeq", rchls_workloads::diffeq(), table2_grid("diffeq")),
-    ]
+pub fn paper_benchmarks() -> Vec<ExploreTask> {
+    ["fir16", "ewf", "diffeq"]
+        .into_iter()
+        .map(|name| ExploreTask::new(format!("builtin:{name}"), table2_grid(name)))
+        .collect()
 }
 
 /// The paper's Table-1 library (re-exported for the binaries).
@@ -107,11 +104,13 @@ mod tests {
 
     #[test]
     fn paper_benchmarks_build() {
+        let engine = rchls_core::Engine::new(library());
         let b = paper_benchmarks();
         assert_eq!(b.len(), 3);
-        for (name, dfg, grid) in b {
-            assert!(!dfg.is_empty(), "{name}");
-            assert!(!grid.is_empty());
+        for task in b {
+            let workload = engine.workload(&task.workload).unwrap();
+            assert!(!workload.dfg.is_empty(), "{}", task.workload);
+            assert!(!task.grid.is_empty());
         }
     }
 

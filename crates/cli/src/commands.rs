@@ -2,16 +2,13 @@
 
 use crate::args::ParsedArgs;
 use crate::error::CliError;
-use rchls_core::engine::KeyPrefix;
+use rchls_core::engine::{CacheKey, CacheStats, KeyPrefix, SynthCache};
 use rchls_core::explore::format_table;
 use rchls_core::{
     flow, monte_carlo_reliability, Bounds, CacheBudget, Engine, FlowSpec, RedundancyModel,
     SynthJob, SynthRequest, Synthesizer,
 };
-use rchls_explorer::{
-    explore, explore_shard, export, CacheKey, CacheStats, CheckpointedSweep, ExploreTask,
-    SweepExecutor, SynthCache,
-};
+use rchls_explorer::{explore, explore_shard, export, CheckpointedSweep, ExploreTask};
 use rchls_netlist::{generators, FaultInjector};
 use rchls_reslib::Library;
 use rchls_store::{GcPolicy, Lookup, ResultStore};
@@ -254,22 +251,24 @@ fn load_library(args: &ParsedArgs) -> Result<Library, CliError> {
     }
 }
 
-/// Resolves the workload of a command: `--workload SPEC` (the source
+/// The workload spec of a command: `--workload SPEC` (the source
 /// registry's spec grammar) or the legacy `--dfg <name|file>` alias,
 /// which desugars to `builtin:`/`file:` specs — so every entry point
 /// resolves through the registry.
+fn workload_spec_arg(args: &ParsedArgs) -> Result<String, CliError> {
+    match (args.get("workload"), args.get("dfg")) {
+        (Some(_), Some(_)) => Err(CliError::BadFlag(
+            "--workload and --dfg are mutually exclusive".to_owned(),
+        )),
+        (Some(w), None) => Ok(w.to_owned()),
+        (None, Some(d)) => legacy_dfg_spec(d),
+        (None, None) => Err(CliError::MissingFlag("workload")),
+    }
+}
+
+/// Loads the workload named by [`workload_spec_arg`].
 fn load_workload_arg(args: &ParsedArgs) -> Result<Workload, CliError> {
-    let spec: String = match (args.get("workload"), args.get("dfg")) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::BadFlag(
-                "--workload and --dfg are mutually exclusive".to_owned(),
-            ))
-        }
-        (Some(w), None) => w.to_owned(),
-        (None, Some(d)) => legacy_dfg_spec(d)?,
-        (None, None) => return Err(CliError::MissingFlag("workload")),
-    };
-    Ok(rchls_workloads::load_workload(&spec)?)
+    Ok(rchls_workloads::load_workload(&workload_spec_arg(args)?)?)
 }
 
 /// Desugars a legacy `--dfg` value: an explicit `scheme:` spec passes
@@ -551,9 +550,14 @@ fn cache_budget_arg(args: &ParsedArgs) -> Result<CacheBudget, CliError> {
     }
 }
 
-/// Resolves the global `--jobs` flag into an executor.
-fn executor(args: &ParsedArgs) -> Result<SweepExecutor, CliError> {
-    Ok(SweepExecutor::new(jobs_arg(args)?))
+/// The session engine of `sweep`, `pareto` and `batch`: `--library`
+/// (with `--mission-time`), `--jobs` and, when given, `--store`.
+fn session_engine(args: &ParsedArgs) -> Result<Engine, CliError> {
+    let engine = Engine::new(load_library(args)?).with_jobs(jobs_arg(args)?);
+    Ok(match store_arg(args)? {
+        Some(store) => engine.with_store(store),
+        None => engine,
+    })
 }
 
 /// Resolves the optional `--store DIR` flag into an opened persistent
@@ -659,8 +663,8 @@ fn shard_arg(args: &ParsedArgs) -> Result<Option<(u32, u32)>, CliError> {
 /// `rchls sweep`. The `resume` flag is the lifted valueless `--resume`.
 pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
     let _faults = faults_arg(args)?;
-    let workload = load_workload_arg(args)?;
-    let library = load_library(args)?;
+    let spec = workload_spec_arg(args)?;
+    let engine = session_engine(args)?;
     let flow_spec = flow_from_args(args)?;
     let latencies = args.required_u32_list("latencies")?;
     let areas = args.required_u32_list("areas")?;
@@ -669,15 +673,7 @@ pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
         .flat_map(|&l| areas.iter().map(move |&a| (l, a)))
         .collect();
     let model = RedundancyModel::default();
-    let store = store_arg(args)?;
-    let cache = SynthCache::new();
-    if let Some(store) = &store {
-        cache.set_store(Arc::clone(store));
-    }
-    let tasks = [
-        ExploreTask::new(workload.dfg.name(), workload.dfg.clone(), grid)
-            .with_workload(workload.spec),
-    ];
+    let task = ExploreTask::new(spec, grid);
     let checkpointing = resume || args.get("checkpoint-every").is_some();
 
     // `--shard I/N`: cover a deterministic 1/N slice of the grid and
@@ -701,16 +697,7 @@ pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
                 })
             }
         }
-        let shard = explore_shard(
-            &tasks[0],
-            &library,
-            &flow_spec,
-            model,
-            &executor(args)?,
-            &cache,
-            index,
-            count,
-        );
+        let shard = explore_shard(&engine, &task, &flow_spec, model, index, count)?;
         return Ok(export::shard_json(&shard) + "\n");
     }
 
@@ -718,13 +705,13 @@ pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
     // into the store in chunks (checkpointing after each), then let the
     // plain exploration below assemble the document entirely from the
     // cache tiers — byte-identical no matter where a prior run died.
-    if checkpointing {
-        let Some(store) = &store else {
+    let warm = if checkpointing {
+        if engine.store().is_none() {
             return Err(CliError::BadFlag(
                 "--resume/--checkpoint-every persist through the result store; add --store DIR"
                     .to_owned(),
             ));
-        };
+        }
         let every = args.u32_or("checkpoint-every", 8)? as usize;
         if every == 0 {
             return Err(CliError::BadValue {
@@ -732,19 +719,15 @@ pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
                 reason: "checkpoint interval must be a positive point count".to_owned(),
             });
         }
-        let exec = executor(args)?;
         let warm = CheckpointedSweep {
-            task: &tasks[0],
-            library: &library,
+            engine: &engine,
+            task: &task,
             flow: &flow_spec,
             model,
-            executor: &exec,
-            cache: &cache,
-            store,
             every,
             resume,
         };
-        let outcome = warm.run();
+        let outcome = warm.run()?;
         // Progress goes to stderr; stdout stays the deterministic
         // document.
         eprintln!(
@@ -752,17 +735,16 @@ pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
              {} checkpoints written)",
             outcome.total_points, outcome.skipped, outcome.computed, outcome.checkpoints_written
         );
-    }
+        Some(warm)
+    } else {
+        None
+    };
 
-    let exploration = explore(&tasks, &library, &flow_spec, model, executor(args)?, &cache);
-    if checkpointing {
-        if let Some(store) = &store {
-            // The document is assembled; the checkpoint has served its
-            // purpose.
-            store.remove_checkpoint(rchls_explorer::sweep_fingerprint(
-                &tasks[0], &library, &flow_spec, model,
-            ));
-        }
+    let exploration = explore(&engine, std::slice::from_ref(&task), &flow_spec, model)?;
+    if let Some(warm) = warm {
+        // The document is assembled; the checkpoint has served its
+        // purpose.
+        warm.clear();
     }
     let rows = &exploration.sweeps[0].rows;
     match args.get("format").unwrap_or("table") {
@@ -810,20 +792,20 @@ pub fn merge(args: &ParsedArgs, inputs: &[String]) -> Result<String, CliError> {
 /// `rchls pareto` — explore a benchmark's design space and print the
 /// Pareto frontier over achieved `(latency, area, reliability)`.
 pub fn pareto(args: &ParsedArgs) -> Result<String, CliError> {
-    let workload = load_workload_arg(args)?;
-    let dfg = workload.dfg;
-    let library = load_library(args)?;
+    let spec = workload_spec_arg(args)?;
+    let engine = session_engine(args)?;
+    let dfg = engine.workload(&spec)?.dfg;
     let flow_spec = flow_from_args(args)?;
     let grid: Vec<(u32, u32)> = match (args.get("latencies"), args.get("areas")) {
-        (None, None) => {
-            rchls_explorer::default_grid(&dfg, &library).ok_or_else(|| CliError::BadValue {
+        (None, None) => rchls_explorer::default_grid(&dfg, engine.library()).ok_or_else(|| {
+            CliError::BadValue {
                 flag: "library".to_owned(),
                 reason: format!(
                     "has no version for one of {}'s operation classes",
                     dfg.name()
                 ),
-            })?
-        }
+            }
+        })?,
         _ => {
             let latencies = args.required_u32_list("latencies")?;
             let areas = args.required_u32_list("areas")?;
@@ -833,32 +815,19 @@ pub fn pareto(args: &ParsedArgs) -> Result<String, CliError> {
                 .collect()
         }
     };
-    let cache = SynthCache::new();
-    if let Some(store) = store_arg(args)? {
-        cache.set_store(store);
-    }
-    let tasks = [ExploreTask::new(dfg.name(), dfg.clone(), grid.clone())
-        .with_workload(workload.spec.clone())];
-    let exploration = explore(
-        &tasks,
-        &library,
-        &flow_spec,
-        RedundancyModel::default(),
-        executor(args)?,
-        &cache,
-    );
+    let points = grid.len();
+    let tasks = [ExploreTask::new(spec, grid)];
+    let exploration = explore(&engine, &tasks, &flow_spec, RedundancyModel::default())?;
     match args.get("format").unwrap_or("table") {
         // Machine-consumable: frontier plus diagnostics-carrying sweep
         // rows, as one JSON document.
         "json" => Ok(export::exploration_json(&exploration) + "\n"),
         "csv" => Ok(export::frontier_csv(&exploration.frontier)),
         "table" => {
-            let stats = cache.stats();
             let mut out = format!(
-                "Pareto frontier of {} over {} bound points ({} synthesis runs):\n\n",
+                "Pareto frontier of {} over {points} bound points ({} synthesis runs):\n\n",
                 dfg.name(),
-                grid.len(),
-                stats.misses,
+                engine.cache_stats().misses,
             );
             out.push_str(&export::frontier_table(&exploration.frontier));
             if let Some(best) = exploration.frontier.most_reliable() {
@@ -887,7 +856,7 @@ pub fn dot(args: &ParsedArgs) -> Result<String, CliError> {
 pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     // Flag validation comes before any filesystem work so a bad
     // `--jobs`/`--cache-budget` reports itself even for a missing file.
-    let workers = jobs_arg(args)?;
+    jobs_arg(args)?;
     let budget = cache_budget_arg(args)?;
     let _faults = faults_arg(args)?;
     let path = args.required("file")?;
@@ -896,12 +865,7 @@ pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
         flag: "file".to_owned(),
         reason: format!("{path}: {e}"),
     })?;
-    let mut engine = Engine::new(load_library(args)?)
-        .with_jobs(workers)
-        .with_cache_budget(budget);
-    if let Some(store) = store_arg(args)? {
-        engine = engine.with_store(store);
-    }
+    let engine = session_engine(args)?.with_cache_budget(budget);
     let report = engine.run_batch(&jobs);
     Ok(serde_json::to_string_pretty(&report).expect("batch reports serialize") + "\n")
 }

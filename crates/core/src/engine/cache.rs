@@ -14,8 +14,9 @@
 //! (a serialized walk of every node), and it is the same for every
 //! request on one graph. FNV-1a folds bytes left to right, so a key splits
 //! for free after that part: a [`KeyPrefix`] holds the state after
-//! `(DFG, library)`, computed once per interned workload or explored
-//! task, and [`KeyPrefix::key`] finishes each request's key from it.
+//! `(DFG, library)`, computed once per workload an engine interns (or
+//! once per one-shot `rchls synth`), and [`KeyPrefix::key`] finishes
+//! each request's key from it.
 
 use crate::engine::budget::{BudgetedTable, CacheBudget};
 use crate::engine::fingerprint::Fingerprint;
@@ -435,7 +436,8 @@ impl SynthCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{flow, StrategyKind};
+    use crate::explore::TABLE2;
+    use crate::flow;
     use rchls_dfg::{DfgBuilder, OpKind};
 
     fn tiny() -> Dfg {
@@ -500,13 +502,13 @@ mod tests {
         let dfg = tiny();
         let cache = SynthCache::new();
         let flow_spec = FlowSpec::default();
-        for kind in StrategyKind::TABLE2 {
+        for id in TABLE2 {
             synth(
                 &cache,
                 &dfg,
                 Bounds::new(6, 4),
                 &flow_spec,
-                &*kind.strategy(),
+                &*flow::strategy(id).unwrap(),
             );
         }
         synth(&cache, &dfg, Bounds::new(7, 4), &flow_spec, &*ours());
@@ -552,8 +554,7 @@ mod tests {
         let wide = Bounds::new(6, 4);
         let tight = Bounds::new(2, 6);
         let key = CacheKey::for_point(&dfg, &lib, wide, &flow_spec, model, "ours");
-        let run =
-            |bounds: Bounds| StrategyKind::Ours.run_report(&dfg, &lib, bounds, &flow_spec, model);
+        let run = |bounds: Bounds| ours().run(&SynthRequest::new(&dfg, &lib, bounds));
         let first = cache.get_or_compute(key, wide, "ours", || run(wide));
         // The same key arriving with a different declared request is a
         // collision: it must compute fresh, never serve the wide result.
@@ -853,8 +854,7 @@ mod tests {
         let wide = Bounds::new(6, 4);
         let tight = Bounds::new(2, 6);
         let key = CacheKey::for_point(&dfg, &lib, wide, &flow_spec, model, "ours");
-        let run =
-            |bounds: Bounds| StrategyKind::Ours.run_report(&dfg, &lib, bounds, &flow_spec, model);
+        let run = |bounds: Bounds| ours().run(&SynthRequest::new(&dfg, &lib, bounds));
 
         let first = session_over(&store).get_or_compute(key, wide, "ours", || run(wide));
         // A different request arriving under the same fingerprint in a

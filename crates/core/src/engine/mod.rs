@@ -18,12 +18,11 @@
 //!   fingerprints, so structurally identical requests are answered once;
 //! * [`Engine::synth_batch`] fans jobs over the deterministic
 //!   [`SweepExecutor`]: results come back in job order and are
-//!   byte-identical at any worker count.
+//!   byte-identical at any worker count. Batches, the daemon, and every
+//!   `rchls-explorer` sweep synthesize through it.
 //!
 //! This module also hosts the executor, fingerprint, and cache
-//! primitives (grown in `rchls-explorer`, moved here so both the engine
-//! and the explorer build on one implementation; `rchls_explorer`
-//! re-exports them unchanged).
+//! primitives the engine is built from.
 //!
 //! # Examples
 //!

@@ -8,137 +8,20 @@
 //! local optimum) into the monotone curves a designer actually has
 //! available — at no additional synthesis cost.
 //!
-//! Every strategy here is dispatched through the [`Strategy`] trait and
-//! the flow registry — [`StrategyKind`] is only a thin enumeration of the
-//! built-in ids for callers that want an exhaustive, `Copy` handle.
+//! Every strategy here is named by its registry id ([`TABLE2`]) and
+//! dispatched through the [`Strategy`](crate::Strategy) trait.
 
 use crate::bounds::Bounds;
-use crate::design::Design;
-use crate::error::SynthesisError;
-use crate::flow::{self, Diagnostics, FlowSpec, Strategy, SynthReport, SynthRequest};
+use crate::flow::{self, Diagnostics, FlowSpec, SynthReport, SynthRequest};
 use crate::redundancy::RedundancyModel;
 use crate::synth::Synthesizer;
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::sync::Arc;
 
-/// A built-in synthesis strategy, as a `Copy` handle over the registry —
-/// the unit of work a sweep executor fans out over.
-///
-/// Each variant names one registered [`Strategy`]; [`strategy`]
-/// (`StrategyKind::strategy`) resolves the shared instance and [`run`]
-/// (`StrategyKind::run`) dispatches through the trait. Out-of-tree
-/// strategies don't appear here — address them by id via
-/// [`flow::strategy`].
-///
-/// [`strategy`]: StrategyKind::strategy
-/// [`run`]: StrategyKind::run
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum StrategyKind {
-    /// The redundancy-based prior art (Ref \[3\]: Orailoglu–Karri NMR).
-    Baseline,
-    /// The paper's reliability-centric approach (Figure 6).
-    Ours,
-    /// The combined scheme: reliability-centric, then leftover-area
-    /// redundancy.
-    Combined,
-    /// Pipelined reliability-centric synthesis at the automatic
-    /// initiation interval.
-    Pipelined,
-    /// Redundancy over the best single-version design.
-    Redundancy,
-}
-
-impl StrategyKind {
-    /// All built-in strategies.
-    pub const ALL: [StrategyKind; 5] = [
-        StrategyKind::Baseline,
-        StrategyKind::Ours,
-        StrategyKind::Combined,
-        StrategyKind::Pipelined,
-        StrategyKind::Redundancy,
-    ];
-
-    /// The paper's three Table-2 strategies, in the paper's column order.
-    pub const TABLE2: [StrategyKind; 3] = [
-        StrategyKind::Baseline,
-        StrategyKind::Ours,
-        StrategyKind::Combined,
-    ];
-
-    /// The stable registry id (used in exports and CLI flags).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            StrategyKind::Baseline => "baseline",
-            StrategyKind::Ours => "ours",
-            StrategyKind::Combined => "combined",
-            StrategyKind::Pipelined => "pipelined",
-            StrategyKind::Redundancy => "redundancy",
-        }
-    }
-
-    /// The built-in kind with the given registry id, if any.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<StrategyKind> {
-        StrategyKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
-    /// The registered [`Strategy`] instance behind this kind.
-    #[must_use]
-    pub fn strategy(self) -> Arc<dyn Strategy> {
-        flow::strategy(self.name()).expect("built-in strategies are always registered")
-    }
-
-    /// Runs this strategy at one `(dfg, bounds)` point through the
-    /// [`Strategy`] trait, returning just the design.
-    ///
-    /// # Errors
-    ///
-    /// Returns the strategy's [`SynthesisError`] when no feasible design
-    /// exists under `bounds`.
-    pub fn run(
-        self,
-        dfg: &Dfg,
-        library: &Library,
-        bounds: Bounds,
-        flow: &FlowSpec,
-        model: RedundancyModel,
-    ) -> Result<Design, SynthesisError> {
-        self.run_report(dfg, library, bounds, flow, model)
-            .map(|r| r.design)
-    }
-
-    /// Runs this strategy and returns the full diagnostics-carrying
-    /// report.
-    ///
-    /// # Errors
-    ///
-    /// Returns the strategy's [`SynthesisError`] when no feasible design
-    /// exists under `bounds`.
-    pub fn run_report(
-        self,
-        dfg: &Dfg,
-        library: &Library,
-        bounds: Bounds,
-        flow: &FlowSpec,
-        model: RedundancyModel,
-    ) -> Result<SynthReport, SynthesisError> {
-        self.strategy().run(
-            &SynthRequest::new(dfg, library, bounds)
-                .with_flow(flow.clone())
-                .with_redundancy(model),
-        )
-    }
-}
-
-impl fmt::Display for StrategyKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// The paper's three Table-2 strategies, by registry id, in the paper's
+/// column order (`Ref [3]`, `Ours`, `Ours+Ref [3]`).
+pub const TABLE2: [&str; 3] = ["baseline", "ours", "combined"];
 
 /// One strategy's diagnostics at one sweep point (wall time scrubbed for
 /// determinism — see [`Diagnostics::scrubbed`]).
@@ -165,7 +48,7 @@ pub struct SweepRow {
     /// Reliability of the combined approach.
     pub combined: Option<f64>,
     /// Per-strategy diagnostics of this point's own (raw) runs, in
-    /// [`StrategyKind::TABLE2`] order, feasible runs only. Feasibility
+    /// [`TABLE2`] order, feasible runs only. Feasibility
     /// inheritance copies a row's reliabilities from dominated rows but
     /// keeps the row's own diagnostics.
     pub diagnostics: Vec<StrategyDiagnostics>,
@@ -182,6 +65,29 @@ impl SweepRow {
             ours: None,
             combined: None,
             diagnostics: Vec::new(),
+        }
+    }
+
+    /// Records one Table-2 strategy's own run at this row's point: its
+    /// reliability (`None` when infeasible) goes in the strategy's
+    /// column, and a feasible run's scrubbed diagnostics are appended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `strategy` is not one of the [`TABLE2`] ids.
+    pub fn record(&mut self, strategy: &str, report: Option<&SynthReport>) {
+        let reliability = report.map(|r| r.design.reliability.value());
+        match strategy {
+            "baseline" => self.baseline = reliability,
+            "ours" => self.ours = reliability,
+            "combined" => self.combined = reliability,
+            other => panic!("{other:?} is not a Table-2 strategy"),
+        }
+        if let Some(report) = report {
+            self.diagnostics.push(StrategyDiagnostics {
+                strategy: strategy.to_owned(),
+                diagnostics: report.diagnostics.scrubbed(),
+            });
         }
     }
 
@@ -205,11 +111,9 @@ impl SweepRow {
     }
 }
 
-/// Runs the three Table-2 strategies at one `(Ld, Ad)` point and reports
-/// their raw (pre-inheritance) reliabilities and diagnostics — the unit
-/// of work behind every sweep. Parallel drivers (`rchls-explorer`) fan
-/// this out per point and then apply [`inherit`], which reproduces
-/// [`sweep`] exactly.
+/// Runs the three Table-2 strategies at one `(Ld, Ad)` point, serially
+/// and uncached, and reports their raw (pre-inheritance) reliabilities
+/// and diagnostics. [`sweep`] is this per grid point plus [`inherit`].
 ///
 /// # Panics
 ///
@@ -227,22 +131,13 @@ pub fn sweep_point(
     if let Err(e) = flow.resolve() {
         panic!("sweep_point: {e}");
     }
+    let request = SynthRequest::new(dfg, library, bounds)
+        .with_flow(flow.clone())
+        .with_redundancy(model);
     let mut row = SweepRow::empty(bounds.latency, bounds.area);
-    for kind in StrategyKind::TABLE2 {
-        let report = kind.run_report(dfg, library, bounds, flow, model).ok();
-        let reliability = report.as_ref().map(|r| r.design.reliability.value());
-        match kind {
-            StrategyKind::Baseline => row.baseline = reliability,
-            StrategyKind::Ours => row.ours = reliability,
-            StrategyKind::Combined => row.combined = reliability,
-            _ => unreachable!("TABLE2 holds the paper's three strategies"),
-        }
-        if let Some(report) = report {
-            row.diagnostics.push(StrategyDiagnostics {
-                strategy: kind.name().to_owned(),
-                diagnostics: report.diagnostics.scrubbed(),
-            });
-        }
+    for id in TABLE2 {
+        let strategy = flow::strategy(id).expect("built-in strategies are always registered");
+        row.record(id, strategy.run(&request).ok().as_ref());
     }
     row
 }
@@ -417,13 +312,26 @@ mod tests {
     }
 
     #[test]
-    fn kinds_round_trip_through_ids_and_registry() {
-        for kind in StrategyKind::ALL {
-            assert_eq!(StrategyKind::from_name(kind.name()), Some(kind));
-            assert_eq!(kind.strategy().id(), kind.name());
+    fn table2_ids_resolve_and_fill_their_own_columns() {
+        let g = figure4a();
+        let lib = Library::table1();
+        let request = SynthRequest::new(&g, &lib, Bounds::new(6, 6));
+        for id in TABLE2 {
+            let strategy = flow::strategy(id).expect("Table-2 ids are registered");
+            assert_eq!(strategy.id(), id);
+            let report = strategy.run(&request).expect("feasible at (6, 6)");
+            let mut row = SweepRow::empty(6, 6);
+            row.record(id, Some(&report));
+            let r = Some(report.design.reliability.value());
+            let expected = match id {
+                "baseline" => (r, None, None),
+                "ours" => (None, r, None),
+                _ => (None, None, r),
+            };
+            assert_eq!((row.baseline, row.ours, row.combined), expected, "{id}");
+            assert_eq!(row.diagnostics.len(), 1);
+            assert_eq!(row.diagnostics[0].strategy, id);
         }
-        assert_eq!(StrategyKind::from_name("nope"), None);
-        assert_eq!(StrategyKind::TABLE2.len(), 3);
     }
 
     #[test]
@@ -529,18 +437,13 @@ mod tests {
         let g = figure4a();
         let lib = Library::table1();
         let bounds = Bounds::new(8, 8);
-        for kind in StrategyKind::ALL {
-            let report = kind
-                .run_report(
-                    &g,
-                    &lib,
-                    bounds,
-                    &FlowSpec::default(),
-                    RedundancyModel::default(),
-                )
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
-            assert!(report.design.latency <= bounds.latency, "{kind}");
-            assert!(report.design.area <= bounds.area, "{kind}");
+        for id in ["baseline", "ours", "combined", "pipelined", "redundancy"] {
+            let report = flow::strategy(id)
+                .unwrap_or_else(|| panic!("{id} is registered"))
+                .run(&SynthRequest::new(&g, &lib, bounds))
+                .unwrap_or_else(|e| panic!("{id}: {e}"));
+            assert!(report.design.latency <= bounds.latency, "{id}");
+            assert!(report.design.area <= bounds.area, "{id}");
         }
     }
 }

@@ -89,7 +89,7 @@ pub use combined::{combined_report, synthesize_combined};
 pub use design::Design;
 pub use engine::{BatchReport, CacheBudget, Engine, EngineError, JobOutcome, SynthJob};
 pub use error::SynthesisError;
-pub use explore::{StrategyDiagnostics, StrategyKind};
+pub use explore::StrategyDiagnostics;
 pub use flow::{Diagnostics, FlowSpec, Strategy, SynthReport, SynthRequest};
 pub use redundancy::{add_redundancy, add_redundancy_with_model, RedundancyModel};
 pub use scratch::{ScratchPool, SynthScratch};

@@ -8,7 +8,7 @@
 use rchls_core::flow::Pipelined;
 use rchls_core::{
     flow, synthesize_combined, synthesize_nmr_baseline, Bounds, Design, FlowSpec, RedundancyModel,
-    Strategy, StrategyKind, SynthRequest, Synthesizer,
+    Strategy, SynthRequest, Synthesizer,
 };
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
@@ -156,26 +156,6 @@ fn redundancy_is_deterministic_and_dominates_baseline() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn strategy_kind_run_is_the_trait_dispatch() {
-    // The thin enum registry must agree with direct trait dispatch for
-    // all five built-ins.
-    let lib = Library::table1();
-    let spec = FlowSpec::default();
-    let model = RedundancyModel::default();
-    let dfg = rchls_workloads::figure4a();
-    let bounds = Bounds::new(8, 8);
-    for kind in StrategyKind::ALL {
-        let via_kind = kind.run(&dfg, &lib, bounds, &spec, model).ok();
-        let via_trait = run_trait(&*kind.strategy(), &dfg, &lib, bounds, &spec);
-        assert_eq!(
-            via_kind.as_ref().map(bytes),
-            via_trait.as_ref().map(bytes),
-            "{kind}"
-        );
     }
 }
 

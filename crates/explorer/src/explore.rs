@@ -1,96 +1,42 @@
-//! High-level exploration drivers: fan `(benchmark × bounds × strategy)`
-//! jobs over the executor, assemble sweep tables, and archive the
-//! Pareto frontier.
+//! High-level exploration: turn `(benchmark × bounds × strategy)` grids
+//! into engine jobs, assemble sweep tables, and archive the Pareto
+//! frontier.
 //!
-//! Every strategy is dispatched through the [`rchls_core::Strategy`]
-//! trait — the explorer never matches on a strategy enum, so
-//! out-of-tree strategies sweep exactly like built-ins.
+//! Every sweep here — [`explore`], [`crate::explore_shard`] and the
+//! [`crate::CheckpointedSweep`] warm pass — synthesizes only through
+//! [`Engine::synth_batch`], and strategies are named by registry id
+//! ([`TABLE2`]), so out-of-tree strategies sweep exactly like built-ins.
 
 use crate::pareto::{FrontierPoint, ParetoArchive};
-use rchls_core::engine::{KeyPrefix, SweepExecutor, SynthCache};
-use rchls_core::explore::{inherit, StrategyDiagnostics, SweepRow};
-use rchls_core::{Bounds, Design, FlowSpec, RedundancyModel, Strategy, StrategyKind, SynthReport};
+use rchls_core::engine::InternedWorkload;
+use rchls_core::explore::{inherit, SweepRow, TABLE2};
+use rchls_core::{Engine, EngineError, FlowSpec, RedundancyModel, SynthJob};
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
-/// The achieved objectives of one synthesized design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DesignPoint {
-    /// Achieved latency in clock cycles.
-    pub latency: u32,
-    /// Achieved area in normalized units.
-    pub area: u32,
-    /// Achieved design reliability.
-    pub reliability: f64,
-}
-
-impl From<&Design> for DesignPoint {
-    fn from(d: &Design) -> DesignPoint {
-        DesignPoint {
-            latency: d.latency,
-            area: d.area,
-            reliability: d.reliability.value(),
-        }
-    }
-}
-
-/// One benchmark to explore: a graph plus its `(Ld, Ad)` bound grid.
+/// One benchmark to explore: a workload spec plus its `(Ld, Ad)` bound
+/// grid.
 #[derive(Debug, Clone)]
 pub struct ExploreTask {
-    /// Benchmark name (labels rows and frontier points).
-    pub name: String,
-    /// The workload spec the graph came from, when it was resolved
-    /// through the [`rchls_workloads`] source registry — echoed into the
-    /// sweep artifacts so randomized runs are reproducible from their
-    /// reports.
-    pub workload: Option<String>,
-    /// The data-flow graph.
-    pub dfg: Dfg,
+    /// The workload spec (`builtin:fir16`, `random:64x8@7`,
+    /// `file:path.dfg`, or any registered scheme), resolved through
+    /// [`Engine::workload`]. Sweep artifacts name the benchmark after the
+    /// graph and echo the canonical spec, so randomized runs are
+    /// reproducible from their reports.
+    pub workload: String,
     /// The `(latency, area)` bound pairs to sweep.
     pub grid: Vec<(u32, u32)>,
 }
 
 impl ExploreTask {
-    /// Bundles a named graph with its grid.
+    /// Bundles a workload spec with its grid.
     #[must_use]
-    pub fn new(name: impl Into<String>, dfg: Dfg, grid: Vec<(u32, u32)>) -> ExploreTask {
+    pub fn new(workload: impl Into<String>, grid: Vec<(u32, u32)>) -> ExploreTask {
         ExploreTask {
-            name: name.into(),
-            workload: None,
-            dfg,
+            workload: workload.into(),
             grid,
         }
-    }
-
-    /// Resolves a workload spec (`builtin:fir16`, `random:64x8@7`,
-    /// `file:path.dfg`, or any registered scheme) into a task over
-    /// `grid`. The task is named after the graph and carries the
-    /// canonical spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns the registry's [`rchls_workloads::WorkloadError`] when
-    /// the spec does not resolve.
-    pub fn from_spec(
-        spec: &str,
-        grid: Vec<(u32, u32)>,
-    ) -> Result<ExploreTask, rchls_workloads::WorkloadError> {
-        let workload = rchls_workloads::load_workload(spec)?;
-        Ok(ExploreTask {
-            name: workload.dfg.name().to_owned(),
-            workload: Some(workload.spec),
-            dfg: workload.dfg,
-            grid,
-        })
-    }
-
-    /// Attaches the canonical workload spec this task's graph came from.
-    #[must_use]
-    pub fn with_workload(mut self, spec: impl Into<String>) -> ExploreTask {
-        self.workload = Some(spec.into());
-        self
     }
 }
 
@@ -109,275 +55,129 @@ pub struct Exploration {
 pub struct BenchmarkSweep {
     /// Benchmark name.
     pub benchmark: String,
-    /// The canonical workload spec the benchmark was resolved from
-    /// (`None` when the task was built from a bare graph).
+    /// The canonical workload spec the benchmark was resolved from.
     pub workload: Option<String>,
     /// Sweep rows in grid order.
     pub rows: Vec<SweepRow>,
 }
 
-/// One unit of executor work: a strategy at a grid point of a benchmark.
-struct PointJob<'a> {
-    prefix: &'a KeyPrefix,
-    dfg: &'a Dfg,
-    benchmark: &'a str,
-    workload: Option<&'a str>,
-    bounds: Bounds,
-    strategy: Arc<dyn Strategy>,
+/// Checks `flow` and resolves every task's workload through `engine`:
+/// every input error a sweep can have, found before any synthesis.
+pub(crate) fn resolve(
+    engine: &Engine,
+    tasks: &[ExploreTask],
+    flow: &FlowSpec,
+) -> Result<Vec<InternedWorkload>, EngineError> {
+    flow.resolve().map_err(EngineError::Flow)?;
+    tasks.iter().map(|t| engine.workload(&t.workload)).collect()
 }
 
-/// Sweeps every task's grid with the three Table-2 strategies in parallel
-/// and archives the Pareto frontier of the achieved designs.
+/// Synthesizes each `(workload, points)` part under the three Table-2
+/// strategies in one [`Engine::synth_batch`] (task-major, then point
+/// order, then [`TABLE2`] order) and assembles, per part, the raw —
+/// pre-inheritance — rows and the feasible frontier candidates, both in
+/// point order.
 ///
-/// The row tables are identical to running
-/// [`rchls_core::explore::sweep`] serially per benchmark — the executor
-/// only changes *when* each point is synthesized, never its result — and
-/// the output is byte-for-byte independent of the worker count (sweep
-/// artifacts store wall-time-scrubbed diagnostics; see
-/// [`rchls_core::Diagnostics::scrubbed`]).
-///
-/// # Panics
-///
-/// Panics if `flow` names a pass id the registry doesn't know — a
-/// mistyped id would otherwise be indistinguishable from every grid
-/// point being infeasible.
-#[must_use]
-pub fn explore(
-    tasks: &[ExploreTask],
-    library: &Library,
+/// The parts must come from [`resolve`]: with the specs and the flow
+/// checked, a job can only fail as infeasible, which leaves an empty
+/// cell.
+pub(crate) fn synthesize(
+    engine: &Engine,
+    parts: &[(&InternedWorkload, &[(u32, u32)])],
     flow: &FlowSpec,
     model: RedundancyModel,
-    executor: SweepExecutor,
-    cache: &SynthCache,
-) -> Exploration {
-    if let Err(e) = flow.resolve() {
-        panic!("explore: {e}");
-    }
-    let strategies: Vec<Arc<dyn Strategy>> = StrategyKind::TABLE2
-        .into_iter()
-        .map(StrategyKind::strategy)
-        .collect();
-    let strategies_ref = &strategies;
-    // One graph walk per task, not one per grid point and strategy.
-    let prefixes: Vec<KeyPrefix> = tasks
+) -> Vec<(Vec<SweepRow>, Vec<FrontierPoint>)> {
+    let jobs: Vec<SynthJob> = parts
         .iter()
-        .map(|t| KeyPrefix::new(&t.dfg, library))
-        .collect();
-    let jobs: Vec<PointJob<'_>> = tasks
-        .iter()
-        .zip(&prefixes)
-        .flat_map(|(t, prefix)| {
-            t.grid.iter().flat_map(move |&(latency, area)| {
-                strategies_ref.iter().map(move |strategy| PointJob {
-                    prefix,
-                    dfg: &t.dfg,
-                    benchmark: &t.name,
-                    workload: t.workload.as_deref(),
-                    bounds: Bounds::new(latency, area),
-                    strategy: Arc::clone(strategy),
+        .flat_map(|&(workload, points)| {
+            points.iter().flat_map(move |&(latency, area)| {
+                TABLE2.into_iter().map(move |id| {
+                    SynthJob::new(workload.spec.as_str(), latency, area)
+                        .with_strategy(id)
+                        .with_flow(flow.clone())
+                        .with_redundancy(model)
                 })
             })
         })
         .collect();
-
-    let outcomes: Vec<Option<SynthReport>> = executor.run(&jobs, |job| {
-        cache.synthesize_with_workload(
-            job.prefix,
-            job.dfg,
-            library,
-            job.bounds,
-            flow,
-            model,
-            &*job.strategy,
-            job.workload,
-        )
-    });
-
-    // Frontier: every feasible design, archived in deterministic job
-    // order (the archive's contents are order-independent anyway).
-    let mut frontier = ParetoArchive::new();
-    for (job, outcome) in jobs.iter().zip(&outcomes) {
-        if let Some(report) = outcome {
-            let point = DesignPoint::from(&report.design);
-            frontier.insert(FrontierPoint {
-                benchmark: job.benchmark.to_owned(),
-                strategy: job.strategy.id().to_owned(),
-                latency_bound: job.bounds.latency,
-                area_bound: job.bounds.area,
-                latency: point.latency,
-                area: point.area,
-                reliability: point.reliability,
-            });
-        }
-    }
-
-    // Tables: regroup outcomes into per-benchmark rows, then apply the
-    // same feasibility inheritance as the serial sweep. Jobs were
-    // generated task-major in grid order with all strategies per point,
-    // so each outcome's position is directly computable.
-    let stride = strategies.len();
-    let mut task_offset = 0usize;
-    let sweeps = tasks
+    let mut results = engine.synth_batch(&jobs).into_iter();
+    parts
         .iter()
-        .map(|t| {
-            let raw: Vec<SweepRow> = t
-                .grid
+        .map(|&(workload, points)| {
+            let mut candidates = Vec::new();
+            let rows = points
                 .iter()
-                .enumerate()
-                .map(|(point, &(latency, area))| {
+                .map(|&(latency, area)| {
                     let mut row = SweepRow::empty(latency, area);
-                    let base = task_offset + point * stride;
-                    for (slot, kind) in StrategyKind::TABLE2.into_iter().enumerate() {
-                        let job = &jobs[base + slot];
-                        debug_assert_eq!(job.bounds, Bounds::new(latency, area));
-                        debug_assert_eq!(job.strategy.id(), kind.name());
-                        let outcome = outcomes[base + slot].as_ref();
-                        let r = outcome.map(|rep| rep.design.reliability.value());
-                        match kind {
-                            StrategyKind::Baseline => row.baseline = r,
-                            StrategyKind::Ours => row.ours = r,
-                            StrategyKind::Combined => row.combined = r,
-                            _ => unreachable!("TABLE2 holds the paper's three strategies"),
-                        }
-                        if let Some(report) = outcome {
-                            row.diagnostics.push(StrategyDiagnostics {
-                                strategy: kind.name().to_owned(),
-                                diagnostics: report.diagnostics.scrubbed(),
+                    for id in TABLE2 {
+                        let report = results.next().expect("one result per job");
+                        debug_assert!(matches!(
+                            report,
+                            Ok(_) | Err(EngineError::Infeasible { .. })
+                        ));
+                        let report = report.ok();
+                        if let Some(design) = report.as_ref().map(|r| &r.design) {
+                            candidates.push(FrontierPoint {
+                                benchmark: workload.dfg.name().to_owned(),
+                                strategy: id.to_owned(),
+                                latency_bound: latency,
+                                area_bound: area,
+                                latency: design.latency,
+                                area: design.area,
+                                reliability: design.reliability.value(),
                             });
                         }
+                        row.record(id, report.as_ref());
                     }
                     row
                 })
                 .collect();
-            task_offset += t.grid.len() * stride;
-            BenchmarkSweep {
-                benchmark: t.name.clone(),
-                workload: t.workload.clone(),
-                rows: inherit(&raw),
-            }
+            (rows, candidates)
         })
-        .collect();
-
-    Exploration { sweeps, frontier }
+        .collect()
 }
 
-/// Synthesizes the given grid points of one task (all three Table-2
-/// strategies per point) and assembles the *raw* — pre-inheritance —
-/// rows plus the feasible frontier candidates, in point order.
+/// Sweeps every task's grid with the three Table-2 strategies through
+/// `engine` and archives the Pareto frontier of the achieved designs.
 ///
-/// This is the shared fan-out under partial-grid drivers
-/// ([`crate::shard`] covers a deterministic slice of the grid;
-/// [`crate::resume`] warms pending points between checkpoints), where
-/// feasibility inheritance must wait until the full grid is assembled.
-pub(crate) fn synthesize_points(
-    task: &ExploreTask,
-    points: &[(u32, u32)],
-    library: &Library,
+/// The row tables equal [`rchls_core::explore::sweep`] run serially per
+/// benchmark — the engine only changes *when* and *where* each point is
+/// synthesized, never its result — and the output is byte-for-byte
+/// independent of the worker count and of the cache tiers (sweep
+/// artifacts store wall-time-scrubbed diagnostics; see
+/// [`rchls_core::Diagnostics::scrubbed`]).
+///
+/// # Errors
+///
+/// Returns an [`EngineError`] before any synthesis when a task's spec or
+/// a pass id in `flow` does not resolve — a mistyped id would otherwise
+/// be indistinguishable from every grid point being infeasible.
+pub fn explore(
+    engine: &Engine,
+    tasks: &[ExploreTask],
     flow: &FlowSpec,
     model: RedundancyModel,
-    executor: &SweepExecutor,
-    cache: &SynthCache,
-) -> (Vec<SweepRow>, Vec<FrontierPoint>) {
-    let strategies: Vec<Arc<dyn Strategy>> = StrategyKind::TABLE2
+) -> Result<Exploration, EngineError> {
+    let workloads = resolve(engine, tasks, flow)?;
+    let parts: Vec<(&InternedWorkload, &[(u32, u32)])> = workloads
+        .iter()
+        .zip(tasks)
+        .map(|(workload, task)| (workload, task.grid.as_slice()))
+        .collect();
+    let mut frontier = ParetoArchive::new();
+    let sweeps = synthesize(engine, &parts, flow, model)
         .into_iter()
-        .map(StrategyKind::strategy)
-        .collect();
-    let prefix = &KeyPrefix::new(&task.dfg, library);
-    let jobs: Vec<PointJob<'_>> = points
-        .iter()
-        .flat_map(|&(latency, area)| {
-            strategies.iter().map(move |strategy| PointJob {
-                prefix,
-                dfg: &task.dfg,
-                benchmark: &task.name,
-                workload: task.workload.as_deref(),
-                bounds: Bounds::new(latency, area),
-                strategy: Arc::clone(strategy),
-            })
-        })
-        .collect();
-    let outcomes: Vec<Option<SynthReport>> = executor.run(&jobs, |job| {
-        cache.synthesize_with_workload(
-            job.prefix,
-            job.dfg,
-            library,
-            job.bounds,
-            flow,
-            model,
-            &*job.strategy,
-            job.workload,
-        )
-    });
-
-    let mut candidates = Vec::new();
-    for (job, outcome) in jobs.iter().zip(&outcomes) {
-        if let Some(report) = outcome {
-            let point = DesignPoint::from(&report.design);
-            candidates.push(FrontierPoint {
-                benchmark: job.benchmark.to_owned(),
-                strategy: job.strategy.id().to_owned(),
-                latency_bound: job.bounds.latency,
-                area_bound: job.bounds.area,
-                latency: point.latency,
-                area: point.area,
-                reliability: point.reliability,
-            });
-        }
-    }
-
-    let stride = strategies.len();
-    let rows = points
-        .iter()
-        .enumerate()
-        .map(|(point, &(latency, area))| {
-            let mut row = SweepRow::empty(latency, area);
-            let base = point * stride;
-            for (slot, kind) in StrategyKind::TABLE2.into_iter().enumerate() {
-                let outcome = outcomes[base + slot].as_ref();
-                let r = outcome.map(|rep| rep.design.reliability.value());
-                match kind {
-                    StrategyKind::Baseline => row.baseline = r,
-                    StrategyKind::Ours => row.ours = r,
-                    StrategyKind::Combined => row.combined = r,
-                    _ => unreachable!("TABLE2 holds the paper's three strategies"),
-                }
-                if let Some(report) = outcome {
-                    row.diagnostics.push(StrategyDiagnostics {
-                        strategy: kind.name().to_owned(),
-                        diagnostics: report.diagnostics.scrubbed(),
-                    });
-                }
+        .zip(&workloads)
+        .map(|((rows, candidates), workload)| {
+            frontier.extend(candidates);
+            BenchmarkSweep {
+                benchmark: workload.dfg.name().to_owned(),
+                workload: Some(workload.spec.clone()),
+                rows: inherit(&rows),
             }
-            row
         })
         .collect();
-    (rows, candidates)
-}
-
-/// Sweeps one benchmark's grid in parallel — the drop-in counterpart of
-/// [`rchls_core::explore::sweep`] with identical output.
-#[must_use]
-pub fn sweep_parallel(
-    dfg: &Dfg,
-    library: &Library,
-    grid: &[(u32, u32)],
-    executor: SweepExecutor,
-    cache: &SynthCache,
-) -> Vec<SweepRow> {
-    let tasks = [ExploreTask::new(dfg.name(), dfg.clone(), grid.to_vec())];
-    let mut exploration = explore(
-        &tasks,
-        library,
-        &FlowSpec::default(),
-        RedundancyModel::default(),
-        executor,
-        cache,
-    );
-    exploration
-        .sweeps
-        .pop()
-        .expect("one task yields one sweep")
-        .rows
+    Ok(Exploration { sweeps, frontier })
 }
 
 /// A default exploration grid for an arbitrary graph, derived from its
@@ -449,41 +249,24 @@ pub fn default_grid(dfg: &Dfg, library: &Library) -> Option<Vec<(u32, u32)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rchls_core::explore::sweep;
 
-    #[test]
-    fn parallel_matches_serial_rows_exactly() {
-        let dfg = rchls_workloads::diffeq();
-        let lib = Library::table1();
-        let grid = [(5u32, 11u32), (6, 13), (7, 9), (4, 2)];
-        let serial = sweep(&dfg, &lib, &grid);
-        for jobs in [1usize, 2, 8] {
-            let cache = SynthCache::new();
-            let parallel = sweep_parallel(&dfg, &lib, &grid, SweepExecutor::new(jobs), &cache);
-            assert_eq!(parallel, serial, "jobs = {jobs}");
-        }
+    fn engine() -> Engine {
+        Engine::new(Library::table1())
     }
 
     #[test]
     fn exploration_builds_a_nonempty_frontier() {
-        let lib = Library::table1();
         let tasks = vec![
-            ExploreTask::new(
-                "figure4a",
-                rchls_workloads::figure4a(),
-                vec![(5, 4), (6, 6)],
-            ),
-            ExploreTask::new("diffeq", rchls_workloads::diffeq(), vec![(6, 11)]),
+            ExploreTask::new("builtin:figure4a", vec![(5, 4), (6, 6)]),
+            ExploreTask::new("builtin:diffeq", vec![(6, 11)]),
         ];
-        let cache = SynthCache::new();
         let out = explore(
+            &engine().with_jobs(4),
             &tasks,
-            &lib,
             &FlowSpec::default(),
             RedundancyModel::default(),
-            SweepExecutor::new(4),
-            &cache,
-        );
+        )
+        .unwrap();
         assert_eq!(out.sweeps.len(), 2);
         assert_eq!(out.sweeps[0].rows.len(), 2);
         assert!(!out.frontier.is_empty());
@@ -498,7 +281,7 @@ mod tests {
         // Frontier strategies are registry ids; rows carry scrubbed
         // diagnostics for each feasible strategy run.
         for p in out.frontier.points() {
-            assert!(["baseline", "ours", "combined"].contains(&p.strategy.as_str()));
+            assert!(TABLE2.contains(&p.strategy.as_str()));
         }
         for sweep in &out.sweeps {
             for row in &sweep.rows {
@@ -510,41 +293,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown scheduler")]
-    fn mistyped_pass_id_panics_instead_of_reading_as_infeasible() {
-        let tasks = vec![ExploreTask::new(
-            "figure4a",
-            rchls_workloads::figure4a(),
-            vec![(5, 4)],
-        )];
-        let _ = explore(
+    fn mistyped_pass_ids_and_specs_are_errors_not_infeasible_points() {
+        let engine = engine();
+        let tasks = [ExploreTask::new("builtin:figure4a", vec![(5, 4)])];
+        let bad_flow = FlowSpec::default().with_scheduler("densty");
+        let err = explore(&engine, &tasks, &bad_flow, RedundancyModel::default()).unwrap_err();
+        assert!(matches!(err, EngineError::Flow(_)), "{err}");
+        assert!(err.to_string().contains("unknown scheduler"), "{err}");
+        let tasks = [tasks[0].clone(), ExploreTask::new("warp:9", vec![(5, 4)])];
+        let err = explore(
+            &engine,
             &tasks,
-            &Library::table1(),
-            &FlowSpec::default().with_scheduler("densty"),
+            &FlowSpec::default(),
             RedundancyModel::default(),
-            SweepExecutor::serial(),
-            &SynthCache::new(),
-        );
+        )
+        .unwrap_err();
+        assert!(matches!(err, EngineError::Workload(_)), "{err}");
+        // Both were caught before any synthesis.
+        assert_eq!(engine.cache_stats().misses, 0);
     }
 
     #[test]
     fn tasks_from_workload_specs_echo_the_canonical_spec() {
-        let task = ExploreTask::from_spec("random:18x4", vec![(8, 8)]).unwrap();
-        assert_eq!(task.workload.as_deref(), Some("random:18x4@0"));
-        assert_eq!(task.dfg.node_count(), 18);
+        let engine = engine();
+        let task = ExploreTask::new("random:18x4", vec![(8, 8)]);
         let out = explore(
+            &engine,
             &[task],
-            &Library::table1(),
             &FlowSpec::default(),
             RedundancyModel::default(),
-            SweepExecutor::serial(),
-            &SynthCache::new(),
-        );
+        )
+        .unwrap();
         assert_eq!(out.sweeps[0].workload.as_deref(), Some("random:18x4@0"));
-        // Tasks built from bare graphs carry no spec.
-        let bare = ExploreTask::new("figure4a", rchls_workloads::figure4a(), vec![(5, 4)]);
-        assert_eq!(bare.workload, None);
-        assert!(ExploreTask::from_spec("warp:9", vec![(5, 4)]).is_err());
+        assert_eq!(
+            out.sweeps[0].benchmark,
+            engine.workload("random:18x4").unwrap().dfg.name()
+        );
+        assert_eq!(
+            engine.workload("random:18x4@0").unwrap().dfg.node_count(),
+            18
+        );
     }
 
     #[test]
@@ -566,14 +354,8 @@ mod tests {
         assert!(!a.is_empty());
         // The loosest corner must be feasible.
         let &(l, ar) = a.last().unwrap();
-        assert!(StrategyKind::Ours
-            .run(
-                &dfg,
-                &lib,
-                Bounds::new(l, ar),
-                &FlowSpec::default(),
-                RedundancyModel::default()
-            )
+        assert!(engine()
+            .synth(&SynthJob::new("builtin:fir16", l, ar))
             .is_ok());
     }
 }

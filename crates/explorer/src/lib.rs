@@ -3,18 +3,19 @@
 //! The paper's entire evaluation is a design-space sweep: synthesize the
 //! same data-flow graph under a grid of `(latency, area)` bounds with
 //! three strategies, and compare. This crate turns that one-off pattern
-//! into a reusable engine:
+//! into reusable sweeps over the session [`Engine`](rchls_core::Engine):
 //!
-//! * [`SweepExecutor`] — a scoped-thread work queue that fans
-//!   `(benchmark × bounds × strategy)` jobs over a configurable worker
-//!   pool with **deterministic, input-ordered results** (a parallel run
-//!   is byte-identical to a serial one);
-//! * [`SynthCache`] — memoizes synthesis reports under a content
-//!   fingerprint of `(DFG, library, bounds, flow ids, model, strategy
-//!   id)`, making repeated or overlapping sweeps near-free;
+//! * [`explore`] — turns each [`ExploreTask`] (a workload spec plus its
+//!   grid) into engine jobs and runs them through
+//!   [`Engine::synth_batch`](rchls_core::Engine::synth_batch), so a sweep
+//!   shares the engine's interned workloads, its fingerprint cache and
+//!   store tier, and its deterministic executor (a parallel run is
+//!   byte-identical to a serial one);
 //! * [`ParetoArchive`] — maintains the non-dominated frontier over
 //!   achieved `(latency, area, reliability)` with dominance pruning and
 //!   a deterministic iteration order;
+//! * [`shard`] and [`resume`] — split a grid across processes and merge
+//!   the pieces losslessly, or checkpoint a long sweep into the store;
 //! * [`export`] — JSON and CSV renderings of frontiers and sweep tables.
 //!
 //! Strategies and passes are addressed by registry id through the
@@ -28,38 +29,25 @@
 //! Explore two benchmarks in parallel and print the Pareto frontier:
 //!
 //! ```
-//! use rchls_core::{FlowSpec, RedundancyModel};
-//! use rchls_explorer::{explore, ExploreTask, SweepExecutor, SynthCache};
+//! use rchls_core::{Engine, FlowSpec, RedundancyModel};
+//! use rchls_explorer::{explore, ExploreTask};
 //! use rchls_reslib::Library;
 //!
+//! let engine = Engine::new(Library::table1()).with_jobs(4);
 //! let tasks = vec![
-//!     ExploreTask::new("figure4a", rchls_workloads::figure4a(), vec![(5, 4), (6, 6)]),
-//!     ExploreTask::new("diffeq", rchls_workloads::diffeq(), vec![(6, 11), (7, 9)]),
+//!     ExploreTask::new("builtin:figure4a", vec![(5, 4), (6, 6)]),
+//!     ExploreTask::new("builtin:diffeq", vec![(6, 11), (7, 9)]),
 //! ];
-//! let cache = SynthCache::new();
-//! let out = explore(
-//!     &tasks,
-//!     &Library::table1(),
-//!     &FlowSpec::default(),
-//!     RedundancyModel::default(),
-//!     SweepExecutor::new(4),
-//!     &cache,
-//! );
+//! let (flow, model) = (FlowSpec::default(), RedundancyModel::default());
+//! let out = explore(&engine, &tasks, &flow, model)?;
 //! assert_eq!(out.sweeps.len(), 2);
 //! assert!(!out.frontier.is_empty());
 //! // Re-running the same tasks is answered entirely from the cache.
-//! let before = cache.stats().misses;
-//! let again = explore(
-//!     &tasks,
-//!     &Library::table1(),
-//!     &FlowSpec::default(),
-//!     RedundancyModel::default(),
-//!     SweepExecutor::serial(),
-//!     &cache,
-//! );
-//! assert_eq!(again, out);
-//! assert_eq!(cache.stats().misses, before);
+//! let before = engine.cache_stats().misses;
+//! assert_eq!(explore(&engine, &tasks, &flow, model)?, out);
+//! assert_eq!(engine.cache_stats().misses, before);
 //! println!("{}", rchls_explorer::export::frontier_table(&out.frontier));
+//! # Ok::<(), rchls_core::EngineError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -71,17 +59,7 @@ mod pareto;
 pub mod resume;
 pub mod shard;
 
-// The executor, fingerprint, and cache primitives were grown here and
-// now live in `rchls_core::engine` (so the session `Engine` can build on
-// them without a dependency cycle); these re-exports keep every explorer
-// consumer source-compatible.
-pub use rchls_core::engine::{
-    fingerprint, CacheKey, CacheStats, Fingerprint, SweepExecutor, SynthCache,
-};
-
-pub use explore::{
-    default_grid, explore, sweep_parallel, BenchmarkSweep, DesignPoint, Exploration, ExploreTask,
-};
+pub use explore::{default_grid, explore, BenchmarkSweep, Exploration, ExploreTask};
 pub use pareto::{FrontierPoint, ParetoArchive};
 pub use resume::{sweep_fingerprint, CheckpointedSweep, ResumeOutcome, SweepCheckpoint};
 pub use shard::{explore_shard, merge, MergeError, SweepShard};

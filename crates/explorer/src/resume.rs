@@ -1,51 +1,58 @@
 //! Checkpoint/resume for long sweeps.
 //!
 //! A checkpointed sweep runs in two phases. The *warm phase* pushes the
-//! grid's pending points through the synthesis cache — and therefore
-//! into the attached [`ResultStore`] — in chunks, writing a
-//! [`SweepCheckpoint`] after each chunk. The *assembly phase* is a plain
-//! [`explore`](crate::explore()) over the full grid: every point is
-//! answered from the cache tiers, so the emitted document is
+//! grid's pending points through the engine — and therefore into its
+//! attached [`ResultStore`](rchls_store::ResultStore) — in chunks,
+//! writing a [`SweepCheckpoint`] after each chunk. The *assembly phase*
+//! is a plain [`explore`](crate::explore()) over the full grid: every
+//! point is answered from the cache tiers, so the emitted document is
 //! byte-identical to an uninterrupted run no matter where (or how often)
 //! the warm phase was killed. Resuming validates the checkpoint's
 //! [`sweep_fingerprint`] before trusting its completed-point set — a
 //! checkpoint from a different sweep (or a different library) is
 //! ignored, never adopted.
 
-use crate::explore::{synthesize_points, ExploreTask};
+use crate::explore::{resolve, synthesize, ExploreTask};
 use crate::pareto::ParetoArchive;
-use rchls_core::engine::{Fingerprint, SweepExecutor, SynthCache};
-use rchls_core::{FlowSpec, RedundancyModel, StrategyKind};
-use rchls_reslib::Library;
-use rchls_store::{Lookup, ResultStore};
+use rchls_core::engine::Fingerprint;
+use rchls_core::explore::TABLE2;
+use rchls_core::{flow, Engine, EngineError, FlowSpec, RedundancyModel};
+use rchls_store::Lookup;
 use serde::{Deserialize, Serialize};
 
 /// On-disk schema version of [`SweepCheckpoint`] documents.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
 
 /// Deterministic identity of one sweep configuration: the graph, its
-/// label and workload spec, the library, the full bound grid, the flow,
-/// the redundancy model, and the Table-2 strategy tokens. Stable across
-/// processes; keys both checkpoints and shard documents.
-#[must_use]
+/// name and canonical workload spec, the engine's library, the full
+/// bound grid, the flow, the redundancy model, and the Table-2 strategy
+/// tokens. Stable across processes; keys both checkpoints and shard
+/// documents.
+///
+/// # Errors
+///
+/// Returns [`EngineError::Workload`] when the task's spec does not
+/// resolve.
 pub fn sweep_fingerprint(
+    engine: &Engine,
     task: &ExploreTask,
-    library: &Library,
     flow: &FlowSpec,
     model: RedundancyModel,
-) -> u64 {
+) -> Result<u64, EngineError> {
+    let workload = engine.workload(&task.workload)?;
     let mut fp = Fingerprint::new();
-    fp.update(&task.name);
-    fp.update(&task.workload);
-    fp.update(&task.dfg);
-    fp.update(library);
+    fp.update(workload.dfg.name());
+    fp.update(&Some(workload.spec));
+    fp.update(&*workload.dfg);
+    fp.update(&**engine.library());
     fp.update(&task.grid);
     fp.update(flow);
     fp.update(&model);
-    for kind in StrategyKind::TABLE2 {
-        fp.update(&kind.strategy().fingerprint_token());
+    for id in TABLE2 {
+        let strategy = flow::strategy(id).expect("built-in strategies are always registered");
+        fp.update(&strategy.fingerprint_token());
     }
-    fp.finish()
+    Ok(fp.finish())
 }
 
 /// A periodic snapshot of a long sweep: which grid points have been
@@ -97,21 +104,16 @@ pub struct ResumeOutcome {
 /// A checkpointed warm pass over one sweep: the configuration bundle for
 /// [`CheckpointedSweep::run`].
 pub struct CheckpointedSweep<'a> {
+    /// The session to synthesize through. Its attached store receives
+    /// both the warmed results and the checkpoints, so a checkpoint can
+    /// never name points that went to a different store.
+    pub engine: &'a Engine,
     /// The benchmark and its full bound grid.
     pub task: &'a ExploreTask,
-    /// The component library.
-    pub library: &'a Library,
     /// The synthesis flow.
     pub flow: &'a FlowSpec,
     /// The redundancy model.
     pub model: RedundancyModel,
-    /// The executor to fan point jobs over.
-    pub executor: &'a SweepExecutor,
-    /// The synthesis cache; must have `store` attached so warmed points
-    /// survive the process.
-    pub cache: &'a SynthCache,
-    /// The persistent store holding results and checkpoints.
-    pub store: &'a ResultStore,
     /// Checkpoint after every this many grid points (clamped to ≥ 1).
     pub every: usize,
     /// Adopt a matching prior checkpoint instead of starting over.
@@ -124,22 +126,28 @@ impl CheckpointedSweep<'_> {
     /// the same configuration to assemble the document, then
     /// [`clear`](CheckpointedSweep::clear) the checkpoint.
     ///
+    /// # Errors
+    ///
+    /// Returns an [`EngineError`] before any synthesis when the task's
+    /// spec or a pass id in the flow does not resolve (matching
+    /// [`crate::explore`]'s contract).
+    ///
     /// # Panics
     ///
-    /// Panics if `flow` names an unknown pass id (matching
-    /// [`crate::explore`]'s contract).
-    #[must_use]
-    pub fn run(&self) -> ResumeOutcome {
-        if let Err(e) = self.flow.resolve() {
-            panic!("checkpointed sweep: {e}");
-        }
-        let fingerprint = self.fingerprint();
+    /// Panics if the engine has no store attached.
+    pub fn run(&self) -> Result<ResumeOutcome, EngineError> {
+        let store = self
+            .engine
+            .store()
+            .expect("a checkpointed sweep needs an engine with a store attached");
+        let workload = resolve(self.engine, std::slice::from_ref(self.task), self.flow)?.remove(0);
+        let fingerprint = self.fingerprint()?;
         let total_points = self.task.grid.len();
         let mut completed: Vec<u32> = Vec::new();
         let mut frontier = ParetoArchive::new();
         let mut resumed = false;
         if self.resume {
-            if let Lookup::Hit(payload) = self.store.load_checkpoint(fingerprint) {
+            if let Lookup::Hit(payload) = store.load_checkpoint(fingerprint) {
                 if let Ok(checkpoint) = decode_checkpoint(&payload) {
                     if checkpoint.schema_version == CHECKPOINT_SCHEMA_VERSION
                         && checkpoint.fingerprint == fingerprint
@@ -161,15 +169,8 @@ impl CheckpointedSweep<'_> {
         for chunk in pending.chunks(self.every.max(1)) {
             let points: Vec<(u32, u32)> =
                 chunk.iter().map(|&i| self.task.grid[i as usize]).collect();
-            let (_rows, candidates) = synthesize_points(
-                self.task,
-                &points,
-                self.library,
-                self.flow,
-                self.model,
-                self.executor,
-                self.cache,
-            );
+            let (_rows, candidates) =
+                synthesize(self.engine, &[(&workload, &points)], self.flow, self.model).remove(0);
             frontier.extend(candidates);
             completed.extend_from_slice(chunk);
             completed.sort_unstable();
@@ -179,33 +180,38 @@ impl CheckpointedSweep<'_> {
                 completed: completed.clone(),
                 frontier: frontier.clone(),
             };
-            if self
-                .store
+            if store
                 .save_checkpoint(fingerprint, &encode_checkpoint(&snapshot))
                 .is_ok()
             {
                 checkpoints_written += 1;
             }
         }
-        ResumeOutcome {
+        Ok(ResumeOutcome {
             total_points,
             skipped,
             computed: pending.len(),
             checkpoints_written,
             resumed,
-        }
+        })
     }
 
     /// The [`sweep_fingerprint`] of this configuration.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        sweep_fingerprint(self.task, self.library, self.flow, self.model)
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Workload`] when the task's spec does not
+    /// resolve.
+    pub fn fingerprint(&self) -> Result<u64, EngineError> {
+        sweep_fingerprint(self.engine, self.task, self.flow, self.model)
     }
 
-    /// Removes this sweep's checkpoint — call once the final document
-    /// has been assembled and emitted.
+    /// Removes this sweep's checkpoint from the engine's store — call
+    /// once the final document has been assembled and emitted.
     pub fn clear(&self) {
-        self.store.remove_checkpoint(self.fingerprint());
+        if let (Some(store), Ok(fingerprint)) = (self.engine.store(), self.fingerprint()) {
+            store.remove_checkpoint(fingerprint);
+        }
     }
 }
 
@@ -214,6 +220,8 @@ mod tests {
     use super::*;
     use crate::explore::explore;
     use crate::export::exploration_json;
+    use rchls_reslib::Library;
+    use rchls_store::ResultStore;
     use std::path::PathBuf;
     use std::sync::Arc;
 
@@ -226,45 +234,70 @@ mod tests {
 
     fn task() -> ExploreTask {
         ExploreTask::new(
-            "diffeq",
-            rchls_workloads::diffeq(),
+            "builtin:diffeq",
             vec![(5, 11), (6, 13), (7, 9), (4, 2), (6, 11)],
         )
-        .with_workload("builtin:diffeq")
     }
 
-    fn session(store: &Arc<ResultStore>) -> SynthCache {
-        let cache = SynthCache::new();
-        cache.set_store(Arc::clone(store));
-        cache
+    fn session(store: &Arc<ResultStore>, jobs: usize) -> Engine {
+        Engine::new(Library::table1())
+            .with_jobs(jobs)
+            .with_store(Arc::clone(store))
+    }
+
+    fn document(engine: &Engine, task: &ExploreTask) -> String {
+        let flow = FlowSpec::default();
+        let model = RedundancyModel::default();
+        exploration_json(&explore(engine, std::slice::from_ref(task), &flow, model).unwrap())
     }
 
     fn baseline(task: &ExploreTask) -> String {
-        exploration_json(&explore(
-            std::slice::from_ref(task),
-            &Library::table1(),
-            &FlowSpec::default(),
-            RedundancyModel::default(),
-            SweepExecutor::serial(),
-            &SynthCache::new(),
-        ))
+        document(&Engine::new(Library::table1()).with_jobs(1), task)
     }
 
     #[test]
     fn fingerprint_tracks_the_sweep_configuration() {
         let task = task();
-        let lib = Library::table1();
+        let engine = Engine::new(Library::table1());
         let flow = FlowSpec::default();
         let model = RedundancyModel::default();
-        let fp = sweep_fingerprint(&task, &lib, &flow, model);
-        assert_eq!(fp, sweep_fingerprint(&task, &lib, &flow, model));
+        let fp = sweep_fingerprint(&engine, &task, &flow, model).unwrap();
+        assert_eq!(fp, sweep_fingerprint(&engine, &task, &flow, model).unwrap());
         let mut wider = task.clone();
         wider.grid.push((9, 9));
-        assert_ne!(fp, sweep_fingerprint(&wider, &lib, &flow, model));
         assert_ne!(
             fp,
-            sweep_fingerprint(&task, &lib, &flow.clone().with_refine("none"), model)
+            sweep_fingerprint(&engine, &wider, &flow, model).unwrap()
         );
+        assert_ne!(
+            fp,
+            sweep_fingerprint(&engine, &task, &flow.clone().with_refine("none"), model).unwrap()
+        );
+        // Any spelling of the workload is the same sweep.
+        let respelled = ExploreTask::new("diffeq", task.grid.clone());
+        assert_eq!(
+            fp,
+            sweep_fingerprint(&engine, &respelled, &flow, model).unwrap()
+        );
+    }
+
+    /// Checkpoints and shard documents are keyed by the fingerprint, so
+    /// a silent change would orphan every one already written. The
+    /// literal is the CI sweep's (`rchls sweep --workload builtin:diffeq
+    /// --latencies 5,6,7 --areas 7,11`) as shard documents record it.
+    #[test]
+    fn fingerprint_of_the_ci_sweep_is_pinned() {
+        let grid = [5, 6, 7]
+            .into_iter()
+            .flat_map(|l| [7, 11].map(|a| (l, a)))
+            .collect();
+        let fp = sweep_fingerprint(
+            &Engine::new(Library::table1()),
+            &ExploreTask::new("builtin:diffeq", grid),
+            &FlowSpec::default(),
+            RedundancyModel::default(),
+        );
+        assert_eq!(fp, Ok(11_150_032_256_022_472_317));
     }
 
     #[test]
@@ -272,47 +305,28 @@ mod tests {
         let dir = scratch("full");
         let store = Arc::new(ResultStore::open(&dir).expect("store opens"));
         let task = task();
-        let lib = Library::table1();
         let flow = FlowSpec::default();
-        let model = RedundancyModel::default();
-        let executor = SweepExecutor::new(2);
-        let cache = session(&store);
+        let engine = session(&store, 2);
         let sweep = CheckpointedSweep {
+            engine: &engine,
             task: &task,
-            library: &lib,
             flow: &flow,
-            model,
-            executor: &executor,
-            cache: &cache,
-            store: &store,
+            model: RedundancyModel::default(),
             every: 2,
             resume: false,
         };
-        let outcome = sweep.run();
+        let outcome = sweep.run().unwrap();
         assert_eq!(outcome.total_points, 5);
         assert_eq!(outcome.skipped, 0);
         assert_eq!(outcome.computed, 5);
         assert_eq!(outcome.checkpoints_written, 3, "ceil(5 / 2) chunks");
         assert!(!outcome.resumed);
         // The checkpoint is live until cleared.
-        assert!(matches!(
-            store.load_checkpoint(sweep.fingerprint()),
-            Lookup::Hit(_)
-        ));
-        let doc = exploration_json(&explore(
-            std::slice::from_ref(&task),
-            &lib,
-            &flow,
-            model,
-            SweepExecutor::serial(),
-            &cache,
-        ));
-        assert_eq!(doc, baseline(&task));
+        let fingerprint = sweep.fingerprint().unwrap();
+        assert!(matches!(store.load_checkpoint(fingerprint), Lookup::Hit(_)));
+        assert_eq!(document(&engine, &task), baseline(&task));
         sweep.clear();
-        assert!(matches!(
-            store.load_checkpoint(sweep.fingerprint()),
-            Lookup::Miss
-        ));
+        assert!(matches!(store.load_checkpoint(fingerprint), Lookup::Miss));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -321,21 +335,20 @@ mod tests {
         let dir = scratch("resume");
         let store = Arc::new(ResultStore::open(&dir).expect("store opens"));
         let task = task();
-        let lib = Library::table1();
         let flow = FlowSpec::default();
         let model = RedundancyModel::default();
 
         // Session 1 "dies" after warming grid points 0 and 1: the store
         // holds their results and a checkpoint naming them complete.
         {
-            let cache = session(&store);
-            let executor = SweepExecutor::serial();
+            let engine = session(&store, 1);
+            let workload = engine.workload(&task.workload).unwrap();
             let points = [task.grid[0], task.grid[1]];
             let (_rows, candidates) =
-                synthesize_points(&task, &points, &lib, &flow, model, &executor, &cache);
+                synthesize(&engine, &[(&workload, &points)], &flow, model).remove(0);
             let mut frontier = ParetoArchive::new();
             frontier.extend(candidates);
-            let fp = sweep_fingerprint(&task, &lib, &flow, model);
+            let fp = sweep_fingerprint(&engine, &task, &flow, model).unwrap();
             let snapshot = SweepCheckpoint {
                 schema_version: CHECKPOINT_SCHEMA_VERSION,
                 fingerprint: fp,
@@ -350,32 +363,20 @@ mod tests {
         // Session 2 resumes: skips the finished points, computes the rest,
         // and the assembled document is byte-identical to an uninterrupted
         // run.
-        let cache = session(&store);
-        let executor = SweepExecutor::serial();
+        let engine = session(&store, 1);
         let sweep = CheckpointedSweep {
+            engine: &engine,
             task: &task,
-            library: &lib,
             flow: &flow,
             model,
-            executor: &executor,
-            cache: &cache,
-            store: &store,
             every: 10,
             resume: true,
         };
-        let outcome = sweep.run();
+        let outcome = sweep.run().unwrap();
         assert!(outcome.resumed);
         assert_eq!(outcome.skipped, 2);
         assert_eq!(outcome.computed, 3);
-        let doc = exploration_json(&explore(
-            std::slice::from_ref(&task),
-            &lib,
-            &flow,
-            model,
-            SweepExecutor::serial(),
-            &cache,
-        ));
-        assert_eq!(doc, baseline(&task));
+        assert_eq!(document(&engine, &task), baseline(&task));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -384,10 +385,17 @@ mod tests {
         let dir = scratch("foreign");
         let store = Arc::new(ResultStore::open(&dir).expect("store opens"));
         let task = task();
-        let lib = Library::table1();
         let flow = FlowSpec::default();
-        let model = RedundancyModel::default();
-        let fp = sweep_fingerprint(&task, &lib, &flow, model);
+        let engine = session(&store, 1);
+        let sweep = CheckpointedSweep {
+            engine: &engine,
+            task: &task,
+            flow: &flow,
+            model: RedundancyModel::default(),
+            every: 10,
+            resume: true,
+        };
+        let fp = sweep.fingerprint().unwrap();
 
         // A checkpoint whose embedded fingerprint disagrees with its key.
         let snapshot = SweepCheckpoint {
@@ -399,20 +407,7 @@ mod tests {
         store
             .save_checkpoint(fp, &encode_checkpoint(&snapshot))
             .expect("checkpoint writes");
-        let cache = session(&store);
-        let executor = SweepExecutor::serial();
-        let sweep = CheckpointedSweep {
-            task: &task,
-            library: &lib,
-            flow: &flow,
-            model,
-            executor: &executor,
-            cache: &cache,
-            store: &store,
-            every: 10,
-            resume: true,
-        };
-        let outcome = sweep.run();
+        let outcome = sweep.run().unwrap();
         assert!(!outcome.resumed, "mismatched fingerprint is not adopted");
         assert_eq!(outcome.computed, 5);
 
@@ -420,7 +415,7 @@ mod tests {
         store
             .save_checkpoint(fp, "not a checkpoint")
             .expect("checkpoint writes");
-        let outcome = sweep.run();
+        let outcome = sweep.run().unwrap();
         assert!(!outcome.resumed, "undecodable checkpoint is not adopted");
         let _ = std::fs::remove_dir_all(&dir);
     }

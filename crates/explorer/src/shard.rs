@@ -16,13 +16,11 @@
 //! sweeps — or from the same grid swept under a different library —
 //! instead of quietly interleaving them.
 
-use crate::explore::{synthesize_points, Exploration, ExploreTask};
+use crate::explore::{resolve, synthesize, BenchmarkSweep, Exploration, ExploreTask};
 use crate::pareto::ParetoArchive;
 use crate::resume::sweep_fingerprint;
-use crate::{BenchmarkSweep, SweepExecutor, SynthCache};
 use rchls_core::explore::{inherit, SweepRow};
-use rchls_core::{FlowSpec, RedundancyModel};
-use rchls_reslib::Library;
+use rchls_core::{Engine, EngineError, FlowSpec, RedundancyModel};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -82,47 +80,43 @@ pub fn shard_indices(grid_len: usize, index: u32, count: u32) -> Vec<usize> {
         .collect()
 }
 
-/// Sweeps shard `index` of `count` of one task's grid and packages the
-/// result for a later [`merge`].
+/// Sweeps shard `index` of `count` of one task's grid through `engine`
+/// and packages the raw rows for a later [`merge`].
+///
+/// # Errors
+///
+/// Returns an [`EngineError`] before any synthesis when the task's spec
+/// or a pass id in `flow` does not resolve (matching [`crate::explore`]'s
+/// contract).
 ///
 /// # Panics
 ///
-/// Panics when `index >= count`, `count == 0`, or `flow` names an
-/// unknown pass id (matching [`crate::explore`]'s contract).
-// Same shape as `explore` plus the two shard coordinates; a config
-// struct would just rename the same eight facts.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
+/// Panics when `index >= count` or `count == 0`.
 pub fn explore_shard(
+    engine: &Engine,
     task: &ExploreTask,
-    library: &Library,
     flow: &FlowSpec,
     model: RedundancyModel,
-    executor: &SweepExecutor,
-    cache: &SynthCache,
     index: u32,
     count: u32,
-) -> SweepShard {
-    if let Err(e) = flow.resolve() {
-        panic!("explore_shard: {e}");
-    }
+) -> Result<SweepShard, EngineError> {
     let indices = shard_indices(task.grid.len(), index, count);
+    let workload = resolve(engine, std::slice::from_ref(task), flow)?.remove(0);
     let points: Vec<(u32, u32)> = indices.iter().map(|&i| task.grid[i]).collect();
-    let (rows, candidates) =
-        synthesize_points(task, &points, library, flow, model, executor, cache);
+    let (rows, candidates) = synthesize(engine, &[(&workload, &points)], flow, model).remove(0);
     let mut frontier = ParetoArchive::new();
     frontier.extend(candidates);
-    SweepShard {
+    Ok(SweepShard {
         schema_version: SHARD_SCHEMA_VERSION,
-        fingerprint: sweep_fingerprint(task, library, flow, model),
-        benchmark: task.name.clone(),
-        workload: task.workload.clone(),
+        fingerprint: sweep_fingerprint(engine, task, flow, model)?,
+        benchmark: workload.dfg.name().to_owned(),
+        workload: Some(workload.spec),
         shard_index: index,
         shard_count: count,
         grid: task.grid.clone(),
         rows,
         frontier,
-    }
+    })
 }
 
 /// Recombines a complete set of shard documents into the [`Exploration`]
@@ -244,25 +238,34 @@ pub fn merge(shards: &[SweepShard]) -> Result<Exploration, MergeError> {
 mod tests {
     use super::*;
     use crate::explore::explore;
+    use rchls_reslib::Library;
 
     fn task() -> ExploreTask {
         ExploreTask::new(
-            "diffeq",
-            rchls_workloads::diffeq(),
+            "builtin:diffeq",
             vec![(5, 11), (6, 13), (7, 9), (4, 2), (6, 11), (8, 8), (5, 5)],
         )
-        .with_workload("builtin:diffeq")
+    }
+
+    fn engine(jobs: usize) -> Engine {
+        Engine::new(Library::table1()).with_jobs(jobs)
+    }
+
+    fn shards(engine: &Engine, task: &ExploreTask, count: u32) -> Vec<SweepShard> {
+        let (flow, model) = (FlowSpec::default(), RedundancyModel::default());
+        (0..count)
+            .map(|i| explore_shard(engine, task, &flow, model, i, count).unwrap())
+            .collect()
     }
 
     fn unsharded(task: &ExploreTask) -> Exploration {
         explore(
+            &engine(1),
             std::slice::from_ref(task),
-            &Library::table1(),
             &FlowSpec::default(),
             RedundancyModel::default(),
-            SweepExecutor::serial(),
-            &SynthCache::new(),
         )
+        .unwrap()
     }
 
     #[test]
@@ -282,16 +285,13 @@ mod tests {
     #[test]
     fn merged_shards_match_the_unsharded_exploration_exactly() {
         let task = task();
-        let lib = Library::table1();
-        let flow = FlowSpec::default();
-        let model = RedundancyModel::default();
         let whole = unsharded(&task);
         for count in [1u32, 2, 3, 7] {
+            // Every shard in a session of its own, as on separate machines.
             let shards: Vec<SweepShard> = (0..count)
                 .map(|i| {
-                    let cache = SynthCache::new();
-                    let executor = SweepExecutor::new(2);
-                    explore_shard(&task, &lib, &flow, model, &executor, &cache, i, count)
+                    let (flow, model) = (FlowSpec::default(), RedundancyModel::default());
+                    explore_shard(&engine(2), &task, &flow, model, i, count).unwrap()
                 })
                 .collect();
             let merged = merge(&shards).expect("complete shard set merges");
@@ -308,29 +308,14 @@ mod tests {
     #[test]
     fn merge_accepts_shards_in_any_order() {
         let task = task();
-        let lib = Library::table1();
-        let flow = FlowSpec::default();
-        let model = RedundancyModel::default();
-        let cache = SynthCache::new();
-        let executor = SweepExecutor::serial();
-        let mut shards: Vec<SweepShard> = (0..3)
-            .map(|i| explore_shard(&task, &lib, &flow, model, &executor, &cache, i, 3))
-            .collect();
+        let mut shards = shards(&engine(1), &task, 3);
         shards.reverse();
         assert_eq!(merge(&shards).expect("order-free"), unsharded(&task));
     }
 
     #[test]
     fn merge_rejects_incomplete_or_mismatched_sets() {
-        let task = task();
-        let lib = Library::table1();
-        let flow = FlowSpec::default();
-        let model = RedundancyModel::default();
-        let cache = SynthCache::new();
-        let executor = SweepExecutor::serial();
-        let shards: Vec<SweepShard> = (0..2)
-            .map(|i| explore_shard(&task, &lib, &flow, model, &executor, &cache, i, 2))
-            .collect();
+        let shards = shards(&engine(1), &task(), 2);
 
         assert!(merge(&[]).is_err(), "empty set");
         assert!(merge(&shards[..1]).is_err(), "missing shard");
@@ -355,25 +340,12 @@ mod tests {
     #[test]
     fn different_libraries_fingerprint_differently() {
         let task = task();
-        let flow = FlowSpec::default();
-        let model = RedundancyModel::default();
-        let cache = SynthCache::new();
-        let executor = SweepExecutor::serial();
-        let a = explore_shard(
-            &task,
-            &Library::table1(),
-            &flow,
-            model,
-            &executor,
-            &cache,
-            0,
-            1,
-        );
+        let a = shards(&engine(1), &task, 1);
         let lib = rchls_reslib::parse_library(
             "library tiny\nversion a1 adder 1 1 0.99\nversion m1 multiplier 1 2 0.98\n",
         )
         .expect("valid library text");
-        let b = explore_shard(&task, &lib, &flow, model, &executor, &cache, 0, 1);
-        assert_ne!(a.fingerprint, b.fingerprint);
+        let b = shards(&Engine::new(lib).with_jobs(1), &task, 1);
+        assert_ne!(a[0].fingerprint, b[0].fingerprint);
     }
 }

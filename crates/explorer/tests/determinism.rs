@@ -2,9 +2,9 @@
 //! paper benchmarks.
 
 use rchls_core::explore::sweep;
-use rchls_core::{FlowSpec, RedundancyModel};
+use rchls_core::{Engine, FlowSpec, RedundancyModel};
 use rchls_dfg::Dfg;
-use rchls_explorer::{explore, export, ExploreTask, SweepExecutor, SynthCache};
+use rchls_explorer::{explore, export, Exploration, ExploreTask};
 use rchls_reslib::Library;
 
 /// The Table-2-style grid each benchmark sweeps in these tests (a
@@ -26,23 +26,27 @@ fn benchmark(name: &str) -> Dfg {
         .1()
 }
 
-fn explore_with_jobs(
-    names: &[&str],
-    jobs: usize,
-    cache: &SynthCache,
-) -> rchls_explorer::Exploration {
-    let tasks: Vec<ExploreTask> = names
+fn engine(jobs: usize) -> Engine {
+    Engine::new(Library::table1()).with_jobs(jobs)
+}
+
+fn explore_grids(engine: &Engine, tasks: &[(&str, Vec<(u32, u32)>)]) -> Exploration {
+    let tasks: Vec<ExploreTask> = tasks
         .iter()
-        .map(|&n| ExploreTask::new(n, benchmark(n), grid_for(n)))
+        .map(|(name, grid)| ExploreTask::new(format!("builtin:{name}"), grid.clone()))
         .collect();
     explore(
+        engine,
         &tasks,
-        &Library::table1(),
         &FlowSpec::default(),
         RedundancyModel::default(),
-        SweepExecutor::new(jobs),
-        cache,
     )
+    .expect("builtin specs under the default flow")
+}
+
+fn explore_benchmarks(engine: &Engine, names: &[&str]) -> Exploration {
+    let tasks: Vec<(&str, Vec<(u32, u32)>)> = names.iter().map(|&n| (n, grid_for(n))).collect();
+    explore_grids(engine, &tasks)
 }
 
 /// Acceptance: the parallel frontier has identical membership to the
@@ -51,10 +55,8 @@ fn explore_with_jobs(
 #[test]
 fn parallel_frontier_matches_serial_on_all_paper_benchmarks() {
     for name in ["fir16", "ewf", "diffeq"] {
-        let serial_cache = SynthCache::new();
-        let serial = explore_with_jobs(&[name], 1, &serial_cache);
-        let parallel_cache = SynthCache::new();
-        let parallel = explore_with_jobs(&[name], 4, &parallel_cache);
+        let serial = explore_benchmarks(&engine(1), &[name]);
+        let parallel = explore_benchmarks(&engine(4), &[name]);
         assert_eq!(
             serial.frontier.points(),
             parallel.frontier.points(),
@@ -70,13 +72,25 @@ fn parallel_frontier_matches_serial_on_all_paper_benchmarks() {
     }
 }
 
+/// The engine-driven rows equal the uncached serial oracle at 1, 2 and
+/// 8 workers, on a grid that mixes feasible and infeasible points.
+#[test]
+fn rows_match_the_serial_oracle_at_any_worker_count() {
+    let grid = vec![(5u32, 11u32), (6, 13), (7, 9), (4, 2)];
+    let serial = sweep(&benchmark("diffeq"), &Library::table1(), &grid);
+    for jobs in [1usize, 2, 8] {
+        let out = explore_grids(&engine(jobs), &[("diffeq", grid.clone())]);
+        assert_eq!(out.sweeps[0].rows, serial, "jobs = {jobs}");
+    }
+}
+
 /// Determinism guard: `--jobs 8` produces byte-identical JSON to
 /// `--jobs 1` on fir16 and ewf.
 #[test]
 fn json_export_is_byte_identical_across_job_counts() {
     for name in ["fir16", "ewf"] {
-        let one = explore_with_jobs(&[name], 1, &SynthCache::new());
-        let eight = explore_with_jobs(&[name], 8, &SynthCache::new());
+        let one = explore_benchmarks(&engine(1), &[name]);
+        let eight = explore_benchmarks(&engine(8), &[name]);
         assert_eq!(
             export::frontier_json(&one.frontier),
             export::frontier_json(&eight.frontier),
@@ -90,38 +104,31 @@ fn json_export_is_byte_identical_across_job_counts() {
     }
 }
 
-/// Cache guarantee: repeating a sweep against a warm cache performs zero
-/// new synthesis calls, and overlapping grids only pay for new points.
+/// Cache guarantee: repeating a sweep against a warm engine performs
+/// zero new synthesis calls, and overlapping grids only pay for new
+/// points.
 #[test]
 fn repeated_sweep_synthesizes_nothing_new() {
-    let cache = SynthCache::new();
-    let first = explore_with_jobs(&["diffeq"], 2, &cache);
-    let misses_after_first = cache.stats().misses;
+    let engine = engine(2);
+    let first = explore_benchmarks(&engine, &["diffeq"]);
+    let misses_after_first = engine.cache_stats().misses;
     assert!(misses_after_first > 0);
 
-    let second = explore_with_jobs(&["diffeq"], 2, &cache);
+    let second = explore_benchmarks(&engine, &["diffeq"]);
     assert_eq!(first, second, "cached rerun changed the result");
     assert_eq!(
-        cache.stats().misses,
+        engine.cache_stats().misses,
         misses_after_first,
         "a repeated sweep must be answered entirely from the cache"
     );
-    assert!(cache.stats().hits >= misses_after_first);
+    assert!(engine.cache_stats().hits >= misses_after_first);
 
     // A superset grid pays only for the genuinely new points.
     let mut grid = grid_for("diffeq");
     grid.push((6, 15));
-    let tasks = [ExploreTask::new("diffeq", benchmark("diffeq"), grid)];
-    let _ = explore(
-        &tasks,
-        &Library::table1(),
-        &FlowSpec::default(),
-        RedundancyModel::default(),
-        SweepExecutor::new(2),
-        &cache,
-    );
+    let _ = explore_grids(&engine, &[("diffeq", grid)]);
     assert_eq!(
-        cache.stats().misses,
+        engine.cache_stats().misses,
         misses_after_first + 3,
         "one new grid point = exactly three new synthesis runs"
     );

@@ -43,9 +43,8 @@
 use crate::config::ServeConfig;
 use crate::obs;
 use crate::protocol::{self, ErrorKind, Request, PROTOCOL_VERSION};
-use rchls_core::engine::SweepExecutor;
 use rchls_core::{flow, Engine, RedundancyModel, SynthJob};
-use rchls_explorer::{explore, export, ExploreTask};
+use rchls_explorer::{explore, ExploreTask};
 use rchls_reslib::Library;
 use rchls_telemetry::span;
 use serde::{map_get, Value};
@@ -907,22 +906,16 @@ fn explore_result(
     flow.resolve()
         .map_err(|e| Fail::BadRequest(e.to_string()))?;
     check_deadline(deadline, "deadline expired before exploration")?;
-    let tasks = [
-        ExploreTask::new(workload.dfg.name(), (*workload.dfg).clone(), grid)
-            .with_workload(workload.spec.clone()),
-    ];
+    let task = ExploreTask::new(workload.spec, grid);
     let exploration = explore(
-        &tasks,
-        shared.engine.library(),
+        &shared.engine,
+        std::slice::from_ref(&task),
         &flow,
         RedundancyModel::default(),
-        SweepExecutor::new(shared.engine.jobs()),
-        shared.engine.cache(),
-    );
+    )
+    .map_err(|e| Fail::BadRequest(e.to_string()))?;
     check_deadline(deadline, "deadline expired during exploration")?;
-    let doc = export::exploration_json(&exploration);
-    serde_json::from_str(&doc)
-        .map_err(|e| Fail::BadRequest(format!("exploration document did not parse: {e}")))
+    Ok(serde_json::to_value(&exploration))
 }
 
 fn ping_result(shared: &Arc<Shared>) -> Value {

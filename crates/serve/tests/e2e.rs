@@ -2,7 +2,8 @@
 //! admission control, deadlines, shutdown, and byte-identity with the
 //! offline engine.
 
-use rchls_core::{Engine, SynthJob};
+use rchls_core::{Engine, FlowSpec, RedundancyModel, SynthJob};
+use rchls_explorer::{default_grid, explore, ExploreTask};
 use rchls_reslib::Library;
 use rchls_serve::{
     response_error_kind, response_result, Client, ServeConfig, Server, ServerHandle,
@@ -150,10 +151,25 @@ fn concurrent_clients_match_the_offline_engine_byte_for_byte() {
     handle.join();
 }
 
+/// The served `result` of a `sweep`/`pareto` serializes to exactly the
+/// bytes of `serde_json::to_value` of an offline [`explore`] over a
+/// separate engine.
 #[test]
 fn sweep_and_pareto_match_offline_exploration_json() {
     let (handle, addr) = start(ephemeral(2, 8));
     let mut client = Client::connect(&addr).unwrap();
+    let offline = Engine::new(Library::table1()).with_jobs(1);
+    let offline_bytes = |grid: Vec<(u32, u32)>, flow: &FlowSpec| {
+        let task = ExploreTask::new("builtin:figure4a", grid);
+        let exploration = explore(&offline, &[task], flow, RedundancyModel::default()).unwrap();
+        serde_json::to_string(&serde_json::to_value(&exploration)).unwrap()
+    };
+    let served_bytes = |doc: &Value| serde_json::to_string(response_result(doc).unwrap()).unwrap();
+
+    // A sweep under a non-default flow.
+    let flow = FlowSpec::default()
+        .with_scheduler("force-directed")
+        .with_binder("coloring");
     let params = Value::Map(vec![
         (key("workload"), key("builtin:figure4a")),
         (
@@ -161,19 +177,23 @@ fn sweep_and_pareto_match_offline_exploration_json() {
             Value::Seq(vec![Value::UInt(5), Value::UInt(6)]),
         ),
         (key("areas"), Value::Seq(vec![Value::UInt(4)])),
+        (key("flow"), serde_json::to_value(&flow)),
     ]);
     let doc = client.call("sweep", Some(&params), None).unwrap();
-    let sweep = response_result(&doc).expect("sweep ok");
-    let text = serde_json::to_string(sweep).unwrap();
-    assert!(text.contains("frontier"), "{text}");
-    assert!(text.contains("diagnostics"), "{text}");
-    assert!(text.contains("builtin:figure4a"), "{text}");
+    assert_eq!(
+        served_bytes(&doc),
+        offline_bytes(vec![(5, 4), (6, 4)], &flow)
+    );
 
     // Pareto without bound lists falls back to the default grid.
     let params = Value::Map(vec![(key("workload"), key("builtin:figure4a"))]);
     let doc = client.call("pareto", Some(&params), None).unwrap();
-    let pareto = response_result(&doc).expect("pareto ok");
-    assert!(serde_json::to_string(pareto).unwrap().contains("frontier"));
+    let figure4a = offline.workload("builtin:figure4a").unwrap().dfg;
+    let grid = default_grid(&figure4a, offline.library()).unwrap();
+    assert_eq!(
+        served_bytes(&doc),
+        offline_bytes(grid, &FlowSpec::default())
+    );
 
     handle.shutdown();
     handle.join();

@@ -169,29 +169,32 @@ impl Histogram {
 
     fn to_value(&self) -> Value {
         let key = |s: &str| Value::Str(s.to_owned());
+        // `count` is derived from the same bucket loads the snapshot
+        // reports: a `record` or `reset` running on another thread updates
+        // a bucket and `count` separately, so reading `count` on its own
+        // could disagree with the buckets.
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|n| n.load(Ordering::Relaxed))
+            .collect();
+        let overflow = self.overflow.load(Ordering::Relaxed);
+        let count = counts.iter().sum::<u64>() + overflow;
         let buckets: Vec<Value> = self
             .bounds
             .iter()
-            .zip(&self.buckets)
-            .map(|(le, n)| {
-                Value::Seq(vec![
-                    Value::UInt(*le),
-                    Value::UInt(n.load(Ordering::Relaxed)),
-                ])
-            })
+            .zip(counts)
+            .map(|(le, n)| Value::Seq(vec![Value::UInt(*le), Value::UInt(n)]))
             .collect();
         Value::Map(vec![
-            (key("count"), Value::UInt(self.count())),
+            (key("count"), Value::UInt(count)),
             (key("sum"), Value::UInt(self.sum())),
             (key("max"), Value::UInt(self.max())),
             (key("p50"), Value::UInt(self.percentile(0.50))),
             (key("p95"), Value::UInt(self.percentile(0.95))),
             (key("p99"), Value::UInt(self.percentile(0.99))),
             (key("buckets"), Value::Seq(buckets)),
-            (
-                key("overflow"),
-                Value::UInt(self.overflow.load(Ordering::Relaxed)),
-            ),
+            (key("overflow"), Value::UInt(overflow)),
         ])
     }
 }
@@ -499,6 +502,17 @@ mod tests {
         // Round-trip through text keeps it valid.
         let parsed: Value = serde_json::from_str(&json).expect("parses");
         validate_snapshot(&parsed).expect("parsed snapshot validates");
+    }
+
+    #[test]
+    fn snapshots_add_up_while_samples_land() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("m.lat", &[10, 100]);
+        h.record(42);
+        // A sample caught between its bucket and its count, as a `record`
+        // or `reset` on another thread leaves it for a moment.
+        h.count.fetch_add(1, Ordering::Relaxed);
+        validate_snapshot(&reg.snapshot()).expect("snapshot adds up");
     }
 
     #[test]
