@@ -3,9 +3,7 @@
 //! ablations (strict Figure-6 vs portfolio, victim policy).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rchls_core::{
-    synthesize_combined, synthesize_nmr_baseline, Bounds, FlowSpec, RedundancyModel, Synthesizer,
-};
+use rchls_core::{flow, Bounds, FlowSpec, SynthRequest, Synthesizer};
 use rchls_reslib::Library;
 use rchls_workloads::{random_layered_dfg, RandomDfgConfig};
 use std::hint::black_box;
@@ -26,29 +24,15 @@ fn bench_strategies(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ours", name), &dfg, |b, dfg| {
             b.iter(|| black_box(Synthesizer::new(dfg, &library).synthesize(black_box(bounds))).ok())
         });
-        group.bench_with_input(BenchmarkId::new("baseline", name), &dfg, |b, dfg| {
-            b.iter(|| {
-                black_box(synthesize_nmr_baseline(
-                    dfg,
-                    &library,
-                    black_box(bounds),
-                    RedundancyModel::default(),
-                ))
-                .ok()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("combined", name), &dfg, |b, dfg| {
-            b.iter(|| {
-                black_box(synthesize_combined(
-                    dfg,
-                    &library,
-                    black_box(bounds),
-                    &FlowSpec::default(),
-                    RedundancyModel::default(),
-                ))
-                .ok()
-            })
-        });
+        for id in ["baseline", "combined"] {
+            let strategy = flow::strategy(id).expect("built-in");
+            group.bench_with_input(BenchmarkId::new(id, name), &dfg, |b, dfg| {
+                b.iter(|| {
+                    black_box(strategy.run(&SynthRequest::new(dfg, &library, black_box(bounds))))
+                        .ok()
+                })
+            });
+        }
     }
     group.finish();
 }

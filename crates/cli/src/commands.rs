@@ -2,17 +2,16 @@
 
 use crate::args::ParsedArgs;
 use crate::error::CliError;
-use rchls_core::engine::{CacheKey, CacheStats, KeyPrefix, SynthCache};
+use rchls_core::engine::{CacheKey, CacheStats, StoredEntry};
 use rchls_core::explore::format_table;
 use rchls_core::{
-    flow, monte_carlo_reliability, Bounds, CacheBudget, Engine, FlowSpec, RedundancyModel,
-    SynthJob, SynthRequest, Synthesizer,
+    flow, monte_carlo_reliability, Bounds, CacheBudget, Engine, EngineError, FlowSpec,
+    RedundancyModel, SynthJob,
 };
 use rchls_explorer::{explore, explore_shard, export, CheckpointedSweep, ExploreTask};
 use rchls_netlist::{generators, FaultInjector};
 use rchls_reslib::Library;
 use rchls_store::{GcPolicy, Lookup, ResultStore};
-use rchls_workloads::Workload;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -266,11 +265,6 @@ fn workload_spec_arg(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
-/// Loads the workload named by [`workload_spec_arg`].
-fn load_workload_arg(args: &ParsedArgs) -> Result<Workload, CliError> {
-    Ok(rchls_workloads::load_workload(&workload_spec_arg(args)?)?)
-}
-
 /// Desugars a legacy `--dfg` value: an explicit `scheme:` spec passes
 /// through, a benchmark name becomes `builtin:`, an existing path
 /// becomes `file:`.
@@ -349,7 +343,7 @@ fn synth_bounds(
 /// The session cache facts of one CLI run as a JSON map: hit/miss
 /// counters plus table sizes for the synthesis, start-pool, and
 /// allocation-design caches (ROADMAP's unbounded-growth watch numbers).
-fn session_caches_value(cache: &SynthCache) -> serde::Value {
+fn session_caches_value(engine: &Engine) -> serde::Value {
     let table = |stats: CacheStats, size_key: &str, size: usize| {
         serde::Value::Map(vec![
             (
@@ -366,6 +360,7 @@ fn session_caches_value(cache: &SynthCache) -> serde::Value {
             ),
         ])
     };
+    let cache = engine.cache();
     let starts = cache.starts_cache();
     serde::Value::Map(vec![
         (
@@ -383,16 +378,12 @@ fn session_caches_value(cache: &SynthCache) -> serde::Value {
     ])
 }
 
-/// `rchls synth`.
+/// `rchls synth`: one job through the session [`Engine`].
 pub fn synth(args: &ParsedArgs) -> Result<String, CliError> {
-    // `synth` is single-threaded, but an explicit `--jobs 0` is rejected
-    // here too so the flag means one thing on every command.
-    let _ = jobs_arg(args)?;
     let _faults = faults_arg(args)?;
-    let workload = load_workload_arg(args)?;
-    let dfg = workload.dfg;
-    let library = load_library(args)?;
-    let bounds = synth_bounds(args, &dfg, &library)?;
+    let engine = session_engine(args)?;
+    let workload = engine.workload(&workload_spec_arg(args)?)?;
+    let bounds = synth_bounds(args, &workload.dfg, engine.library())?;
     let mut flow_spec = flow_from_args(args)?;
     let requested = args.get("strategy").unwrap_or("ours");
     // `paper` is shorthand for the strict Figure-6 flow: `ours` with the
@@ -405,7 +396,7 @@ pub fn synth(args: &ParsedArgs) -> Result<String, CliError> {
     } else {
         requested
     };
-    let (strategy, header): (Arc<dyn rchls_core::Strategy>, String) = match args.get("ii") {
+    let (strategy, header) = match args.get("ii") {
         Some(_) => {
             let ii = args.required_u32("ii")?;
             if !matches!(strategy_id, "ours" | "pipelined") {
@@ -421,16 +412,23 @@ pub fn synth(args: &ParsedArgs) -> Result<String, CliError> {
                 });
             }
             (
-                Arc::new(flow::Pipelined::with_ii(ii)),
+                format!("pipelined@ii={ii}"),
                 format!("pipelined design ({bounds}, II={ii}):\n"),
             )
         }
         None => {
-            let strategy = flow::strategy(strategy_id).ok_or_else(|| CliError::BadValue {
-                flag: "strategy".to_owned(),
-                reason: format!("{requested:?} is not a registered strategy (see `rchls flows`)"),
-            })?;
-            (strategy, format!("{requested} design under {bounds}:\n"))
+            if flow::strategy(strategy_id).is_none() {
+                return Err(CliError::BadValue {
+                    flag: "strategy".to_owned(),
+                    reason: format!(
+                        "{requested:?} is not a registered strategy (see `rchls flows`)"
+                    ),
+                });
+            }
+            (
+                strategy_id.to_owned(),
+                format!("{requested} design under {bounds}:\n"),
+            )
         }
     };
     // Validate the output format before spending time on synthesis.
@@ -446,45 +444,28 @@ pub fn synth(args: &ParsedArgs) -> Result<String, CliError> {
     };
     // `--trace` records this run's spans as a Chrome trace-event file:
     // install the sink for the duration of the synthesis, then write.
-    let trace_path = args.get("trace").map(str::to_owned);
-    let trace_sink = match &trace_path {
-        Some(_) => {
+    let trace = match args.get("trace") {
+        Some(path) => {
             let sink = Arc::new(rchls_telemetry::ChromeTraceSink::new());
             rchls_telemetry::register_sink(sink.clone()).map_err(|e| CliError::BadValue {
                 flag: "trace".to_owned(),
                 reason: e.to_string(),
             })?;
-            Some(sink)
+            Some((path, sink))
         }
         None => None,
     };
-    // Run through a one-shot session cache so the report JSON can carry
-    // the starts/alloc cache facts of the run; a `None` (infeasible or
-    // failed) replays the uncached run for its full error message.
-    let request = SynthRequest::new(&dfg, &library, bounds).with_flow(flow_spec.clone());
-    let session = SynthCache::new();
-    if let Some(store) = store_arg(args)? {
-        session.set_store(store);
-    }
-    let result = session
-        .synthesize_with_workload(
-            &KeyPrefix::new(&dfg, &library),
-            &dfg,
-            &library,
-            bounds,
-            &flow_spec,
-            RedundancyModel::default(),
-            &*strategy,
-            Some(&workload.spec),
-        )
-        .map_or_else(|| strategy.run(&request).map_err(CliError::Synthesis), Ok);
-    if trace_sink.is_some() {
+    let job = SynthJob::new(workload.spec.clone(), bounds.latency, bounds.area)
+        .with_strategy(strategy)
+        .with_flow(flow_spec);
+    let result = engine.synth(&job);
+    if let Some((path, sink)) = trace {
         let _ = rchls_telemetry::unregister_sink("chrome-trace");
-    }
-    let report = result?;
-    if let (Some(path), Some(sink)) = (&trace_path, &trace_sink) {
+        // A failed run's trace is written too: it is the one most worth
+        // reading.
         sink.write_to(std::path::Path::new(path))?;
     }
+    let report = result?;
     if report_json {
         // Prepend the canonical workload spec (random seeds echoed) so
         // the report alone reproduces the run.
@@ -502,13 +483,13 @@ pub fn synth(args: &ParsedArgs) -> Result<String, CliError> {
         // is visible from the report alone.
         entries.push((
             serde::Value::Str("session".to_owned()),
-            session_caches_value(&session),
+            session_caches_value(&engine),
         ));
         let doc = serde::Value::Map(entries);
         return Ok(serde_json::to_string_pretty(&doc).expect("reports serialize") + "\n");
     }
     let mut out = header;
-    out.push_str(&report.design.render(&dfg, &library));
+    out.push_str(&report.design.render(&workload.dfg, engine.library()));
     let d = &report.diagnostics;
     let _ = writeln!(
         out,
@@ -550,8 +531,9 @@ fn cache_budget_arg(args: &ParsedArgs) -> Result<CacheBudget, CliError> {
     }
 }
 
-/// The session engine of `sweep`, `pareto` and `batch`: `--library`
-/// (with `--mission-time`), `--jobs` and, when given, `--store`.
+/// The session engine of `synth`, `sweep`, `pareto` and `batch`:
+/// `--library` (with `--mission-time`), `--jobs` and, when given,
+/// `--store`.
 fn session_engine(args: &ParsedArgs) -> Result<Engine, CliError> {
     let engine = Engine::new(load_library(args)?).with_jobs(jobs_arg(args)?);
     Ok(match store_arg(args)? {
@@ -848,7 +830,8 @@ pub fn pareto(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// `rchls dot`.
 pub fn dot(args: &ParsedArgs) -> Result<String, CliError> {
-    Ok(load_workload_arg(args)?.dfg.to_dot())
+    let workload = rchls_workloads::load_workload(&workload_spec_arg(args)?)?;
+    Ok(workload.dfg.to_dot())
 }
 
 /// `rchls batch` — run a JSON job file through the session [`Engine`]
@@ -1163,12 +1146,16 @@ pub fn store(args: &ParsedArgs) -> Result<String, CliError> {
 ///   engine change since the entry was written); the command errors;
 /// * `key-mismatch` — the provenance no longer reproduces the entry's
 ///   fingerprint (typically a different `--library` than the writer's);
-/// * `unverifiable` — no provenance, an unregistered strategy token, or
-///   a workload spec that no longer resolves.
+/// * `unverifiable` — no provenance, a strategy token or pass id not
+///   registered in this process, or a workload spec that no longer
+///   resolves.
+///
+/// Re-synthesis runs on one storeless [`Engine`] (the store under test
+/// must not answer for itself), so each workload is resolved once.
 fn verify_store(args: &ParsedArgs, store: &ResultStore) -> Result<String, CliError> {
     use rchls_core::engine::store_tier;
 
-    let library = load_library(args)?;
+    let engine = Engine::new(load_library(args)?);
     let keys = store.keys();
     let total = keys.len();
     let checked: Vec<u64> = match args.get("sample") {
@@ -1193,60 +1180,38 @@ fn verify_store(args: &ParsedArgs, store: &ResultStore) -> Result<String, CliErr
     );
     let (mut ok, mut drift, mut mismatch, mut unverifiable, mut quarantined) = (0, 0, 0, 0, 0);
     for key in checked {
-        let line: String = match store.load(key) {
-            Lookup::Miss => {
-                // Deleted between the walk and the probe; nothing to say.
+        let verdict = match store.load(key) {
+            // Deleted between the walk and the probe; nothing to say.
+            Lookup::Miss => continue,
+            Lookup::Quarantined => Verdict::Quarantined,
+            Lookup::Hit(payload) => match store_tier::decode_entry(&payload) {
+                Err(e) => Verdict::Unverifiable(format!("payload does not decode ({e})")),
+                Ok(entry) => verify_entry(&engine, key, &entry),
+            },
+        };
+        let line = match verdict {
+            Verdict::Ok => {
+                ok += 1;
                 continue;
             }
-            Lookup::Quarantined => {
+            Verdict::Drift(reason) => {
+                drift += 1;
+                format!("DRIFT: {reason}")
+            }
+            Verdict::KeyMismatch => {
+                mismatch += 1;
+                "key-mismatch: provenance does not reproduce the fingerprint \
+                 (written under a different library?)"
+                    .to_owned()
+            }
+            Verdict::Unverifiable(reason) => {
+                unverifiable += 1;
+                format!("unverifiable: {reason}")
+            }
+            Verdict::Quarantined => {
                 quarantined += 1;
                 "quarantined: envelope failed validation".to_owned()
             }
-            Lookup::Hit(payload) => match store_tier::decode_entry(&payload) {
-                Err(e) => {
-                    unverifiable += 1;
-                    format!("unverifiable: payload does not decode ({e})")
-                }
-                Ok(entry) => match &entry.provenance {
-                    None => {
-                        unverifiable += 1;
-                        "unverifiable: entry carries no provenance".to_owned()
-                    }
-                    Some(p) => match rchls_workloads::load_workload(&p.workload) {
-                        Err(e) => {
-                            unverifiable += 1;
-                            format!("unverifiable: workload {:?} ({e})", p.workload)
-                        }
-                        Ok(w) => {
-                            let derived = CacheKey::for_point(
-                                &w.dfg,
-                                &library,
-                                entry.bounds,
-                                &p.flow,
-                                p.model,
-                                &entry.strategy,
-                            );
-                            if derived.raw() != key {
-                                mismatch += 1;
-                                "key-mismatch: provenance does not reproduce the fingerprint \
-                                 (written under a different library?)"
-                                    .to_owned()
-                            } else {
-                                match reverify(&entry, &w.dfg, &library) {
-                                    Ok(()) => {
-                                        ok += 1;
-                                        continue;
-                                    }
-                                    Err(reason) => {
-                                        drift += 1;
-                                        format!("DRIFT: {reason}")
-                                    }
-                                }
-                            }
-                        }
-                    },
-                },
-            },
         };
         let _ = writeln!(out, "  {key:016x} {line}");
     }
@@ -1261,49 +1226,80 @@ fn verify_store(args: &ParsedArgs, store: &ResultStore) -> Result<String, CliErr
     Ok(out)
 }
 
-/// Re-synthesizes one verified-key entry and compares it with what the
-/// store remembers. `Ok(())` means byte-identical agreement.
-fn reverify(
-    entry: &rchls_core::engine::StoredEntry,
-    dfg: &rchls_dfg::Dfg,
-    library: &Library,
-) -> Result<(), String> {
+/// What `rchls store verify` concluded about one entry.
+enum Verdict {
+    Ok,
+    Drift(String),
+    KeyMismatch,
+    Unverifiable(String),
+    Quarantined,
+}
+
+/// Re-derives one entry's key from its provenance and, when it matches,
+/// re-synthesizes the entry as a job named by its stored strategy token
+/// and compares the result with what the store remembers.
+fn verify_entry(engine: &Engine, key: u64, entry: &StoredEntry) -> Verdict {
     let Some(provenance) = &entry.provenance else {
-        return Err("entry lost its provenance".to_owned());
+        return Verdict::Unverifiable("entry carries no provenance".to_owned());
     };
-    let strategy = flow::strategy(&entry.strategy)
-        .ok_or_else(|| format!("strategy token {:?} is not a registered id", entry.strategy))?;
-    let request = SynthRequest::new(dfg, library, entry.bounds)
+    let workload = match engine.workload(&provenance.workload) {
+        Ok(workload) => workload,
+        Err(e) => {
+            return Verdict::Unverifiable(format!("workload {:?} ({e})", provenance.workload))
+        }
+    };
+    let derived = CacheKey::for_point(
+        &workload.dfg,
+        engine.library(),
+        entry.bounds,
+        &provenance.flow,
+        provenance.model,
+        &entry.strategy,
+    );
+    if derived.raw() != key {
+        return Verdict::KeyMismatch;
+    }
+    let job = SynthJob::new(workload.spec, entry.bounds.latency, entry.bounds.area)
+        .with_strategy(entry.strategy.clone())
         .with_flow(provenance.flow.clone())
         .with_redundancy(provenance.model);
-    match (strategy.run(&request), &entry.report) {
-        (Err(_), None) => Ok(()),
-        (Err(e), Some(_)) => Err(format!(
+    match (engine.synth(&job), &entry.report) {
+        (Err(EngineError::UnknownStrategy(token)), _) => {
+            Verdict::Unverifiable(format!("strategy token {token:?} is not a registered id"))
+        }
+        (Err(EngineError::Infeasible { .. }), None) => Verdict::Ok,
+        (Err(e @ EngineError::Infeasible { .. }), Some(_)) => Verdict::Drift(format!(
             "stored feasible, but re-synthesis finds no design ({e})"
         )),
-        (Ok(_), None) => Err("stored infeasible, but re-synthesis found a design".to_owned()),
+        // The stored flow names a pass this process has not registered.
+        (Err(e), _) => Verdict::Unverifiable(e.to_string()),
+        (Ok(_), None) => {
+            Verdict::Drift("stored infeasible, but re-synthesis found a design".to_owned())
+        }
         (Ok(fresh), Some(stored)) => {
             if fresh.design != stored.design {
-                return Err("re-synthesized design differs from the stored one".to_owned());
+                Verdict::Drift("re-synthesized design differs from the stored one".to_owned())
+            } else if fresh.diagnostics.scrubbed() != stored.diagnostics {
+                Verdict::Drift("re-synthesized diagnostics differ from the stored ones".to_owned())
+            } else {
+                Verdict::Ok
             }
-            if fresh.diagnostics.scrubbed() != stored.diagnostics {
-                return Err("re-synthesized diagnostics differ from the stored ones".to_owned());
-            }
-            Ok(())
         }
     }
 }
 
-/// `rchls validate`.
+/// `rchls validate`: synthesizes an `ours` job through an [`Engine`],
+/// then checks its analytic reliability by fault injection.
 pub fn validate(args: &ParsedArgs) -> Result<String, CliError> {
-    let dfg = load_workload_arg(args)?.dfg;
-    let library = load_library(args)?;
+    let engine = Engine::new(load_library(args)?);
+    let workload = engine.workload(&workload_spec_arg(args)?)?;
     let bounds = Bounds::new(args.required_u32("latency")?, args.required_u32("area")?);
     let trials = args.u32_or("trials", 50_000)? as usize;
     let seed = args.u64_or("seed", 1)?;
-    let flow_spec = flow_from_args(args)?;
-    let design = Synthesizer::with_flow(&dfg, &library, &flow_spec)?.synthesize(bounds)?;
-    let empirical = monte_carlo_reliability(&design, &dfg, &library, trials, seed);
+    let job =
+        SynthJob::new(workload.spec, bounds.latency, bounds.area).with_flow(flow_from_args(args)?);
+    let design = engine.synth(&job)?.design;
+    let empirical = monte_carlo_reliability(&design, &workload.dfg, engine.library(), trials, seed);
     Ok(format!(
         "design under {bounds}:\n  analytic reliability  = {}\n  empirical reliability = {empirical:.5} ({trials} trials, seed {seed})\n  |difference|          = {:.5}\n",
         design.reliability,

@@ -26,7 +26,8 @@ pub enum CliError {
     Workload(rchls_workloads::WorkloadError),
     /// Reading an input file failed.
     Io(std::io::Error),
-    /// Synthesis found no design (or another engine error).
+    /// A flow flag (`--scheduler`, `--binder`, `--victim`, `--refine`)
+    /// named an unregistered pass id.
     Synthesis(SynthesisError),
     /// A batch job failed engine-side validation.
     Engine(rchls_core::EngineError),
@@ -71,12 +72,6 @@ impl Error for CliError {
             CliError::Engine(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<SynthesisError> for CliError {
-    fn from(e: SynthesisError) -> CliError {
-        CliError::Synthesis(e)
     }
 }
 

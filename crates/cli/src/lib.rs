@@ -275,7 +275,14 @@ mod tests {
             "99",
         ]))
         .unwrap_err();
-        assert!(matches!(err, CliError::Synthesis(_)));
+        assert!(matches!(
+            err,
+            CliError::Engine(rchls_core::EngineError::Infeasible { .. })
+        ));
+        assert_eq!(
+            err.to_string(),
+            "no ours design for builtin:figure4a meets Ld=3, Ad=99"
+        );
     }
 
     #[test]

@@ -251,3 +251,161 @@ fn sharded_sweeps_merge_into_the_unsharded_document() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// `rchls synth` at the diffeq point the pipelined store tests share.
+fn synth_diffeq(store: &str, extra: &[&str]) -> String {
+    let mut args = vec![
+        "synth",
+        "--workload",
+        "builtin:diffeq",
+        "--latency",
+        "8",
+        "--area",
+        "14",
+        "--store",
+        store,
+    ];
+    args.extend_from_slice(extra);
+    ok(&args)
+}
+
+/// The value under `key` in a JSON map.
+fn field<'a>(doc: &'a serde::Value, key: &str) -> &'a serde::Value {
+    serde::map_get(doc.as_map().expect("a JSON map"), key)
+        .unwrap_or_else(|| panic!("no {key:?} field"))
+}
+
+#[test]
+fn pipelined_entries_verify_and_answer_jobs_naming_their_token() {
+    let dir = scratch("pipelined");
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    synth_diffeq(store, &["--strategy", "pipelined"]);
+    let synth: serde::Value =
+        serde_json::from_str(&synth_diffeq(store, &["--ii", "4", "--report", "json"])).unwrap();
+
+    // Both stored tokens (`pipelined@auto`, `pipelined@ii=4`) are
+    // strategy ids, so verify re-synthesizes them.
+    let report = ok(&["store", "verify", "--store", store]);
+    assert!(report.contains("summary: 2 ok, 0 drifted"), "{report}");
+
+    // A batch job naming the token is answered from the synth's entry:
+    // same design, and nothing new written.
+    let jobs = dir.join("jobs.json");
+    std::fs::write(
+        &jobs,
+        r#"[{"workload": "builtin:diffeq", "latency": 8, "area": 14,
+             "strategy": "pipelined@ii=4"}]"#,
+    )
+    .unwrap();
+    let batch: serde::Value =
+        serde_json::from_str(&ok(&["batch", jobs.to_str().unwrap(), "--store", store])).unwrap();
+    let serde::Value::Seq(outcomes) = field(&batch, "outcomes") else {
+        panic!("outcomes is a list");
+    };
+    let design = field(field(&outcomes[0], "report"), "design");
+    assert_eq!(design, field(&synth, "design"));
+    let stats = ok(&["store", "stats", "--store", store]);
+    assert!(stats.contains("objects      2"), "{stats}");
+}
+
+#[test]
+fn entries_under_unregistered_strategy_tokens_are_unverifiable() {
+    use rchls_core::engine::{store_tier, CacheKey, Provenance, StoredEntry};
+    use rchls_core::{Bounds, FlowSpec, RedundancyModel};
+
+    let dir = scratch("unregistered");
+    let root = dir.join("store");
+    let store = rchls_store::ResultStore::open(&root).unwrap();
+    let dfg = rchls_workloads::figure4a();
+    let library = rchls_reslib::Library::table1();
+    let (bounds, flow, model) = (
+        Bounds::new(6, 4),
+        FlowSpec::default(),
+        RedundancyModel::default(),
+    );
+    // What a process with an out-of-tree strategy registered would write.
+    let token = "no-such-strategy";
+    let key = CacheKey::for_point(&dfg, &library, bounds, &flow, model, token);
+    let entry = StoredEntry {
+        strategy: token.to_owned(),
+        bounds,
+        report: None,
+        provenance: Some(Provenance {
+            workload: "builtin:figure4a".to_owned(),
+            flow,
+            model,
+        }),
+    };
+    store
+        .save(key.raw(), &store_tier::encode_entry(&entry))
+        .unwrap();
+
+    let report = ok(&["store", "verify", "--store", root.to_str().unwrap()]);
+    assert!(
+        report.contains("unverifiable: strategy token \"no-such-strategy\" is not a registered id"),
+        "{report}"
+    );
+    assert!(
+        report.contains("summary: 0 ok, 0 drifted, 0 key-mismatched, 1 unverifiable"),
+        "{report}"
+    );
+}
+
+#[test]
+fn an_infeasible_synth_fails_once_and_still_writes_its_trace() {
+    let dir = scratch("infeasible");
+    let trace = dir.join("trace.json");
+    let out = rchls(&[
+        "synth",
+        "--workload",
+        "builtin:figure4a",
+        "--latency",
+        "3",
+        "--area",
+        "99",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: no ours design for builtin:figure4a meets Ld=3, Ad=99\n"),
+        "{stderr}"
+    );
+    let doc = std::fs::read_to_string(&trace).expect("the failed run's trace is written");
+    let names = rchls_telemetry::trace_event_names(&doc).unwrap();
+    // The engine's answer is final: nothing reruns the point for a
+    // longer message.
+    assert_eq!(
+        names.iter().filter(|n| *n == "synth").count(),
+        1,
+        "{names:?}"
+    );
+}
+
+#[test]
+fn an_interval_past_the_latency_bound_runs_at_the_bound() {
+    let run = |ii: &str| {
+        let out = ok(&[
+            "synth",
+            "--workload",
+            "builtin:figure4a",
+            "--latency",
+            "8",
+            "--area",
+            "8",
+            "--ii",
+            ii,
+            "--report",
+            "json",
+        ]);
+        // Drop the only run-dependent number.
+        out.lines()
+            .filter(|line| !line.contains("\"wall_time_micros\""))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    // An unclamped 4e9-slot residue table would abort on allocation.
+    assert_eq!(run("4000000000"), run("8"));
+}

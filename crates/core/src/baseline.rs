@@ -1,14 +1,13 @@
 //! The redundancy-based prior art (Orailoglu–Karri [3]) the paper
-//! compares against.
+//! compares against: the algorithm behind [`crate::flow::Baseline`].
 
-use crate::bounds::Bounds;
 use crate::design::Design;
 use crate::error::SynthesisError;
-use crate::flow::{Diagnostics, FlowSpec, SynthReport};
-use crate::redundancy::{add_redundancy_with_model, RedundancyModel};
+use crate::flow::{Diagnostics, SynthReport, SynthRequest};
+use crate::redundancy::add_redundancy_with_model;
 use crate::synth::Synthesizer;
 use rchls_bind::Assignment;
-use rchls_dfg::{Dfg, OpClass};
+use rchls_dfg::OpClass;
 use rchls_reslib::{Library, VersionId};
 
 /// The fixed version the baseline uses for each class: the fastest one,
@@ -31,83 +30,20 @@ pub fn baseline_versions(library: &Library) -> Vec<(OpClass, Option<VersionId>)>
         .collect()
 }
 
-/// Synthesizes a design in the style of Orailoglu–Karri's
-/// "maximize reliability given cost and performance constraints" strategy:
-///
-/// 1. every operation uses the *single fixed* version of its class
-///    ([`baseline_versions`]) — prior-art libraries have one implementation
-///    per operation type;
-/// 2. the graph is scheduled time-constrained at `Ld` and bound with
-///    maximal sharing, giving the base allocation and its area;
-/// 3. any area left under `Ad` is spent on modular redundancy
-///    ([`add_redundancy_with_model`]).
+/// The body of the `"baseline"` strategy ([`Baseline`]): fixed versions,
+/// the flow's schedule and binding at `Ld`, then redundancy on the
+/// leftover area.
 ///
 /// # Errors
 ///
-/// * [`SynthesisError::Library`] if a class used by the graph has no
-///   versions;
-/// * [`SynthesisError::NoSolution`] if the single-version design cannot
-///   meet the latency bound or its minimal-area binding exceeds `Ad`.
+/// See [`Baseline`], plus [`SynthesisError::UnknownPass`] when the flow
+/// names unregistered passes.
 ///
-/// # Examples
-///
-/// ```
-/// use rchls_core::{synthesize_nmr_baseline, Bounds, RedundancyModel};
-/// use rchls_dfg::{DfgBuilder, OpKind};
-/// use rchls_reslib::Library;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let dfg = DfgBuilder::new("pair").ops(&["a", "b"], OpKind::Add).dep("a", "b").build()?;
-/// let library = Library::table1();
-/// let d = synthesize_nmr_baseline(&dfg, &library, Bounds::new(4, 8), RedundancyModel::default())?;
-/// assert!(d.area <= 8);
-/// // Both ops on the fixed type-2 adder, one shared unit, duplicated.
-/// assert!(d.reliability.value() > 0.969f64.powi(2));
-/// # Ok(())
-/// # }
-/// ```
-pub fn synthesize_nmr_baseline(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-    model: RedundancyModel,
-) -> Result<Design, SynthesisError> {
-    nmr_baseline_report(dfg, library, bounds, &FlowSpec::default(), model).map(|r| r.design)
-}
-
-/// [`synthesize_nmr_baseline`] with an explicit flow (whose scheduler and
-/// binder place the single-version design) and a full diagnostics-carrying
-/// [`SynthReport`] — the engine behind the `"baseline"`
-/// [`Strategy`](crate::Strategy).
-///
-/// # Errors
-///
-/// Same contract as [`synthesize_nmr_baseline`], plus
-/// [`SynthesisError::UnknownPass`] when `flow` names unregistered passes.
-pub fn nmr_baseline_report(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-    flow: &FlowSpec,
-    model: RedundancyModel,
+/// [`Baseline`]: crate::flow::Baseline
+pub(crate) fn nmr_baseline_report(
+    request: &SynthRequest<'_>,
 ) -> Result<SynthReport, SynthesisError> {
-    nmr_baseline_report_pooled(dfg, library, bounds, flow, model, None)
-}
-
-/// [`nmr_baseline_report`] borrowing synthesis arenas from a session
-/// [`ScratchPool`].
-///
-/// # Errors
-///
-/// Same contract as [`nmr_baseline_report`].
-pub(crate) fn nmr_baseline_report_pooled(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-    flow: &FlowSpec,
-    model: RedundancyModel,
-    pool: Option<&crate::scratch::ScratchPool>,
-) -> Result<SynthReport, SynthesisError> {
+    let (dfg, library, bounds) = (request.dfg, request.library, request.bounds);
     let span = rchls_telemetry::span!(timed: "strategy.baseline");
     dfg.validate().map_err(rchls_sched::ScheduleError::from)?;
     // Fixed single version per class.
@@ -131,7 +67,7 @@ pub(crate) fn nmr_baseline_report_pooled(
 
     // Schedule at the full latency budget for maximal sharing (minimum
     // base area leaves the most room for redundancy).
-    let synth = Synthesizer::with_flow_pooled(dfg, library, flow, pool)?;
+    let synth = Synthesizer::for_request(request)?;
     let minimum = synth.min_latency(&assignment)?;
     if minimum > bounds.latency {
         return Err(SynthesisError::NoSolution {
@@ -154,7 +90,8 @@ pub(crate) fn nmr_baseline_report_pooled(
 
     let replication = vec![1u32; binding.instance_count()];
     let mut design = Design::assemble(dfg, library, assignment, schedule, binding, replication);
-    let moves = add_redundancy_with_model(&mut design, dfg, library, bounds.area, model);
+    let moves =
+        add_redundancy_with_model(&mut design, dfg, library, bounds.area, request.redundancy);
     let mut diagnostics = Diagnostics {
         redundancy_moves: moves,
         ..Diagnostics::default()
@@ -170,8 +107,19 @@ pub(crate) fn nmr_baseline_report_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rchls_dfg::DfgBuilder;
+    use crate::bounds::Bounds;
+    use crate::flow;
     use rchls_dfg::OpKind;
+    use rchls_dfg::{Dfg, DfgBuilder};
+
+    /// The `"baseline"` strategy's design at `bounds`, through the
+    /// registry.
+    fn baseline(g: &Dfg, lib: &Library, bounds: Bounds) -> Result<Design, SynthesisError> {
+        let strategy = flow::strategy("baseline").expect("built-in");
+        strategy
+            .run(&SynthRequest::new(g, lib, bounds))
+            .map(|r| r.design)
+    }
 
     #[test]
     fn baseline_versions_pick_type2_units() {
@@ -203,8 +151,7 @@ mod tests {
         let lib = Library::table1();
         // Chain of 6 one-cycle type-2 adds: latency 6, one shared adder2
         // (area 2), no room for redundancy with Ad=2.
-        let d = synthesize_nmr_baseline(&g, &lib, Bounds::new(6, 2), RedundancyModel::default())
-            .unwrap();
+        let d = baseline(&g, &lib, Bounds::new(6, 2)).unwrap();
         assert_eq!(d.area, 2);
         assert!((d.reliability.value() - 0.969f64.powi(6)).abs() < 1e-12);
         assert_eq!(d.redundant_instance_count(), 0);
@@ -222,12 +169,8 @@ mod tests {
             .build()
             .unwrap();
         let lib = Library::table1();
-        let tight =
-            synthesize_nmr_baseline(&g, &lib, Bounds::new(6, 2), RedundancyModel::default())
-                .unwrap();
-        let loose =
-            synthesize_nmr_baseline(&g, &lib, Bounds::new(6, 4), RedundancyModel::default())
-                .unwrap();
+        let tight = baseline(&g, &lib, Bounds::new(6, 2)).unwrap();
+        let loose = baseline(&g, &lib, Bounds::new(6, 4)).unwrap();
         assert!(loose.reliability.value() > tight.reliability.value());
         assert!(loose.redundant_instance_count() >= 1);
         assert!(loose.area <= 4);
@@ -242,8 +185,7 @@ mod tests {
             .build()
             .unwrap();
         let lib = Library::table1();
-        let err = synthesize_nmr_baseline(&g, &lib, Bounds::new(2, 99), RedundancyModel::default())
-            .unwrap_err();
+        let err = baseline(&g, &lib, Bounds::new(2, 99)).unwrap_err();
         assert!(matches!(err, SynthesisError::NoSolution { .. }));
     }
 
@@ -253,8 +195,7 @@ mod tests {
         let lib = Library::table1();
         // mult2 has area 4; bound of 3 is impossible for the baseline
         // (it cannot switch to the smaller mult1).
-        let err = synthesize_nmr_baseline(&g, &lib, Bounds::new(9, 3), RedundancyModel::default())
-            .unwrap_err();
+        let err = baseline(&g, &lib, Bounds::new(9, 3)).unwrap_err();
         assert!(matches!(err, SynthesisError::NoSolution { .. }));
     }
 }

@@ -1,97 +1,24 @@
 //! The paper's unified approach: reliability-centric version selection
-//! followed by redundancy on the leftover area.
+//! followed by redundancy on the leftover area, the algorithm behind
+//! [`crate::flow::Combined`].
 
-use crate::bounds::Bounds;
-use crate::design::Design;
 use crate::error::SynthesisError;
-use crate::flow::{FlowSpec, SynthReport};
-use crate::redundancy::{add_redundancy_with_model, RedundancyModel};
+use crate::flow::{SynthReport, SynthRequest};
+use crate::redundancy::add_redundancy_with_model;
 use crate::synth::Synthesizer;
-use rchls_dfg::Dfg;
-use rchls_reslib::Library;
 
-/// Runs the reliability-centric synthesizer, then spends any area still
-/// under the bound on modular redundancy — the "Our approach + Ref \[3\]"
-/// column of the paper's Table 2.
-///
-/// As in the paper, redundant copies use *the same version* the
-/// reliability-centric pass selected for the instance ("when we add
-/// redundancy for an operator, we use the same version selected by our
-/// reliability-centric approach as duplicate(s)").
-///
-/// The combined design space *contains* the baseline's (a single-version
-/// design plus redundancy is one point in it), so the unified scheme is
-/// evaluated as a portfolio: if the pure redundancy design happens to beat
-/// the refined-then-replicated one, it is returned instead. This is what
-/// makes the paper's claim — "this combined approach obtains a better
-/// reliability than \[3\]" — hold unconditionally.
+/// The body of the `"combined"` strategy ([`Combined`]): the
+/// reliability-centric run plus leftover-area redundancy, in a portfolio
+/// with the baseline. Inherits whatever session state (scratch pool,
+/// starts cache) the request carries.
 ///
 /// # Errors
 ///
-/// Returns an error only when *neither* branch of the portfolio finds a
-/// feasible design.
+/// Returns the reliability-centric branch's error when neither branch
+/// finds a feasible design.
 ///
-/// # Examples
-///
-/// ```
-/// use rchls_core::{synthesize_combined, Bounds, FlowSpec, RedundancyModel};
-/// use rchls_dfg::{DfgBuilder, OpKind};
-/// use rchls_reslib::Library;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let dfg = DfgBuilder::new("pair").ops(&["a", "b"], OpKind::Add).dep("a", "b").build()?;
-/// let library = Library::table1();
-/// let d = synthesize_combined(
-///     &dfg, &library, Bounds::new(4, 6), &FlowSpec::default(), RedundancyModel::default(),
-/// )?;
-/// assert!(d.area <= 6);
-/// # Ok(())
-/// # }
-/// ```
-pub fn synthesize_combined(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-    flow: &FlowSpec,
-    model: RedundancyModel,
-) -> Result<Design, SynthesisError> {
-    combined_report(dfg, library, bounds, flow, model).map(|r| r.design)
-}
-
-/// [`synthesize_combined`] with a full diagnostics-carrying
-/// [`SynthReport`] — the engine behind the `"combined"`
-/// [`Strategy`](crate::Strategy). The report's diagnostics fold together
-/// both portfolio branches (the reliability-centric run and, when it was
-/// evaluated, the baseline).
-///
-/// # Errors
-///
-/// Same contract as [`synthesize_combined`].
-pub fn combined_report(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-    flow: &FlowSpec,
-    model: RedundancyModel,
-) -> Result<SynthReport, SynthesisError> {
-    combined_report_for(
-        &crate::flow::SynthRequest::new(dfg, library, bounds)
-            .with_flow(flow.clone())
-            .with_redundancy(model),
-    )
-}
-
-/// [`combined_report`] on a full [`SynthRequest`], inheriting whatever
-/// session state (scratch pool, starts cache) the request carries.
-///
-/// # Errors
-///
-/// Same contract as [`combined_report`].
-///
-/// [`SynthRequest`]: crate::SynthRequest
-pub(crate) fn combined_report_for(
-    request: &crate::flow::SynthRequest<'_>,
-) -> Result<SynthReport, SynthesisError> {
+/// [`Combined`]: crate::flow::Combined
+pub(crate) fn combined_report(request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
     let (dfg, library, bounds, model) = (
         request.dfg,
         request.library,
@@ -106,14 +33,7 @@ pub(crate) fn combined_report_for(
                 add_redundancy_with_model(&mut report.design, dfg, library, bounds.area, model);
             report
         });
-    let baseline = crate::baseline::nmr_baseline_report_pooled(
-        dfg,
-        library,
-        bounds,
-        &request.flow,
-        model,
-        request.scratch_pool(),
-    );
+    let baseline = crate::baseline::nmr_baseline_report(request);
     let mut report = match (ours, baseline) {
         (Ok(a), Ok(b)) => {
             if a.design.reliability.value() >= b.design.reliability.value() {
@@ -137,7 +57,21 @@ pub(crate) fn combined_report_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rchls_dfg::{DfgBuilder, OpKind};
+    use crate::bounds::Bounds;
+    use crate::design::Design;
+    use crate::flow;
+    use rchls_dfg::{Dfg, DfgBuilder, OpKind};
+    use rchls_reslib::Library;
+
+    /// The `"combined"` strategy's design at `bounds`, through the
+    /// registry.
+    fn combined(g: &Dfg, lib: &Library, bounds: Bounds) -> Design {
+        let strategy = flow::strategy("combined").expect("built-in");
+        strategy
+            .run(&SynthRequest::new(g, lib, bounds))
+            .expect("feasible")
+            .design
+    }
 
     fn figure4a() -> Dfg {
         DfgBuilder::new("figure4a")
@@ -159,14 +93,7 @@ mod tests {
         for (latency, area) in [(5u32, 4u32), (5, 6), (6, 5), (8, 8)] {
             let bounds = Bounds::new(latency, area);
             let ours = Synthesizer::new(&g, &lib).synthesize(bounds).unwrap();
-            let comb = synthesize_combined(
-                &g,
-                &lib,
-                bounds,
-                &FlowSpec::default(),
-                RedundancyModel::default(),
-            )
-            .unwrap();
+            let comb = combined(&g, &lib, bounds);
             assert!(
                 comb.reliability.value() + 1e-12 >= ours.reliability.value(),
                 "combined regressed at {bounds}"
@@ -182,14 +109,7 @@ mod tests {
         let lib = Library::table1();
         let bounds = Bounds::new(8, 8);
         let ours = Synthesizer::new(&g, &lib).synthesize(bounds).unwrap();
-        let comb = synthesize_combined(
-            &g,
-            &lib,
-            bounds,
-            &FlowSpec::default(),
-            RedundancyModel::default(),
-        )
-        .unwrap();
+        let comb = combined(&g, &lib, bounds);
         // Redundancy moves are only committed when they strictly improve
         // reliability, so any extra area implies a strictly better design.
         assert!(comb.area >= ours.area);

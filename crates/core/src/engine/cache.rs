@@ -13,14 +13,14 @@
 //! Fingerprinting the graph and library is the expensive part of a key
 //! (a serialized walk of every node), and it is the same for every
 //! request on one graph. FNV-1a folds bytes left to right, so a key splits
-//! for free after that part: a [`KeyPrefix`] holds the state after
-//! `(DFG, library)`, computed once per workload an engine interns (or
-//! once per one-shot `rchls synth`), and [`KeyPrefix::key`] finishes
-//! each request's key from it.
+//! for free after that part: a `KeyPrefix` holds the state after
+//! `(DFG, library)`, computed once per workload an engine interns, and
+//! `KeyPrefix::key` finishes each request's key from it.
 
 use crate::engine::budget::{BudgetedTable, CacheBudget};
 use crate::engine::fingerprint::Fingerprint;
 use crate::engine::store_tier::{self, Provenance, StoreOutcome};
+use crate::engine::{InternedWorkload, SynthJob};
 use crate::{
     Bounds, FlowSpec, RedundancyModel, Strategy, SynthReport, SynthRequest, SynthesisError,
 };
@@ -39,11 +39,10 @@ impl CacheKey {
     /// Fingerprints one synthesis request for a strategy, keyed by the
     /// flow's pass ids and the strategy's fingerprint token.
     ///
-    /// This is the definition of a key: `KeyPrefix::new(dfg,
-    /// library).key(..)`, except that the one-off prefix is not counted
-    /// in `synth_cache.key_prefixes`. It walks the whole graph, so a
-    /// caller keying many requests on one graph keeps a [`KeyPrefix`]
-    /// instead.
+    /// This is the definition of a key. It walks the whole graph; an
+    /// [`Engine`](crate::Engine) instead finishes each request's key from
+    /// the `(DFG, library)` prefix it computed once when it interned the
+    /// workload, which yields the same key.
     #[must_use]
     pub fn for_point(
         dfg: &Dfg,
@@ -73,13 +72,13 @@ impl CacheKey {
 /// computed from; [`SynthCache::synthesize_with_workload`] checks the
 /// pairing in debug builds.
 #[derive(Debug, Clone)]
-pub struct KeyPrefix(Fingerprint);
+pub(crate) struct KeyPrefix(Fingerprint);
 
 impl KeyPrefix {
     /// Fingerprints `(dfg, library)` (the whole-graph walk), counted in
     /// the `synth_cache.key_prefixes` metric.
     #[must_use]
-    pub fn new(dfg: &Dfg, library: &Library) -> KeyPrefix {
+    pub(crate) fn new(dfg: &Dfg, library: &Library) -> KeyPrefix {
         crate::obs::synth_cache_key_prefixes().incr();
         KeyPrefix::walk(dfg, library)
     }
@@ -93,7 +92,7 @@ impl KeyPrefix {
 
     /// The key of one request on this prefix's graph and library.
     #[must_use]
-    pub fn key(
+    pub(crate) fn key(
         &self,
         bounds: Bounds,
         flow: &FlowSpec,
@@ -170,9 +169,13 @@ impl CacheEntry {
 /// Under a [`CacheBudget`], every layer this cache owns (the memo table
 /// here, the two [`StartsCache`](crate::engine::StartsCache) tables, and
 /// the scratch pool) evicts least-recently-used entries to stay inside
-/// its share — see [`SynthCache::set_budget`]. Eviction never changes
-/// outputs, only recompute cost.
-#[derive(Debug, Default)]
+/// its share — see [`Engine::with_cache_budget`](crate::Engine::with_cache_budget).
+/// Eviction never changes outputs, only recompute cost.
+///
+/// Every session cache belongs to an [`Engine`](crate::Engine), which is
+/// the only way to run a cached synthesis; [`Engine::cache`](crate::Engine::cache)
+/// exposes this one for its counters and lower-level probes.
+#[derive(Debug)]
 pub struct SynthCache {
     entries: Mutex<BudgetedTable<CacheEntry>>,
     hits: AtomicU64,
@@ -185,7 +188,7 @@ pub struct SynthCache {
     /// [`StartsCache`](crate::engine::StartsCache)), shared by every
     /// refining flow this cache runs.
     starts: crate::engine::StartsCache,
-    /// The optional on-disk second tier (see [`SynthCache::set_store`]):
+    /// The optional on-disk second tier (see `SynthCache::set_store`):
     /// probed after a memory miss, written back after a fresh
     /// synthesis. Set once per session.
     store: OnceLock<Arc<ResultStore>>,
@@ -194,44 +197,46 @@ pub struct SynthCache {
 impl SynthCache {
     /// An empty cache.
     #[must_use]
-    pub fn new() -> SynthCache {
-        SynthCache::default()
+    pub(crate) fn new() -> SynthCache {
+        SynthCache {
+            entries: Mutex::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            scratch: crate::scratch::ScratchPool::new(),
+            starts: crate::engine::StartsCache::new(),
+            store: OnceLock::new(),
+        }
     }
 
-    /// Runs `strategy` at one synthesis point through the cache: returns
-    /// the memoized report if the fingerprint is known, otherwise
-    /// synthesizes, stores, and returns the result. Infeasibility maps to
-    /// `None`.
+    /// Runs `strategy` (the job's resolved strategy) on one job through
+    /// the cache: returns the memoized report if the fingerprint is
+    /// known, otherwise synthesizes, stores, and returns the result.
+    /// Infeasibility maps to `None`.
     ///
-    /// `prefix` is [`KeyPrefix::new`] of this `dfg` and `library`: the key
-    /// is finished from it, never from a fresh walk of the graph (debug
-    /// builds re-derive it with [`CacheKey::for_point`] and assert the two
-    /// agree). `workload`, the request's canonical spec when the caller
-    /// knows it, rides into on-disk store entries as re-synthesis
+    /// The key is finished from the workload's interned prefix, never
+    /// from a fresh walk of the graph (debug builds re-derive it with
+    /// [`CacheKey::for_point`] and assert the two agree). The workload's
+    /// canonical spec rides into on-disk store entries as re-synthesis
     /// provenance (`rchls store verify`); it never affects the cache key
     /// or the result.
-    #[allow(clippy::too_many_arguments)]
-    pub fn synthesize_with_workload(
+    pub(crate) fn synthesize_with_workload(
         &self,
-        prefix: &KeyPrefix,
-        dfg: &Dfg,
+        workload: &InternedWorkload,
         library: &Library,
-        bounds: Bounds,
-        flow: &FlowSpec,
-        model: RedundancyModel,
+        job: &SynthJob,
         strategy: &dyn Strategy,
-        workload: Option<&str>,
     ) -> Option<SynthReport> {
+        let (dfg, bounds, flow, model) = (&*workload.dfg, job.bounds(), &job.flow, job.redundancy);
         let token = strategy.fingerprint_token();
-        let key = prefix.key(bounds, flow, model, &token);
+        let key = workload.prefix.key(bounds, flow, model, &token);
         debug_assert_eq!(
             key,
             CacheKey::for_point(dfg, library, bounds, flow, model, &token),
             "key prefix paired with a graph or library it was not computed from"
         );
         let provenance = || {
-            workload.map(|spec| Provenance {
-                workload: spec.to_owned(),
+            Some(Provenance {
+                workload: workload.spec.clone(),
                 flow: flow.clone(),
                 model,
             })
@@ -251,7 +256,7 @@ impl SynthCache {
     /// first store attached to a session wins; later calls are ignored
     /// (tiering is a session-construction decision, not a runtime
     /// toggle).
-    pub fn set_store(&self, store: Arc<ResultStore>) {
+    pub(crate) fn set_store(&self, store: Arc<ResultStore>) {
         let _ = self.store.set(store);
     }
 
@@ -276,7 +281,7 @@ impl SynthCache {
     /// Applies a session-wide cache budget: the memo table takes the
     /// synth share, the starts/alloc tables and the scratch pool take
     /// theirs. Layers over their new share evict immediately.
-    pub fn set_budget(&self, budget: CacheBudget) {
+    pub(crate) fn set_budget(&self, budget: CacheBudget) {
         let evicted = crate::sync::lock_unpoisoned(&self.entries).set_budget(budget.synth_share());
         crate::obs::synth_cache_evictions().add(evicted);
         self.starts
@@ -301,7 +306,7 @@ impl SynthCache {
     }
 
     /// [`SynthCache::get_or_compute`] with store provenance for the
-    /// write-back path (see [`SynthCache::synthesize_with_workload`]),
+    /// write-back path (see `SynthCache::synthesize_with_workload`),
     /// built only when a fresh result is written back.
     fn get_or_compute_with(
         &self,
@@ -462,9 +467,14 @@ mod tests {
         strategy: &dyn Strategy,
     ) -> Option<SynthReport> {
         let lib = Library::table1();
-        let prefix = KeyPrefix::new(dfg, &lib);
-        let model = RedundancyModel::default();
-        cache.synthesize_with_workload(&prefix, dfg, &lib, bounds, flow_spec, model, strategy, None)
+        let workload = InternedWorkload {
+            spec: format!("test:{}", dfg.name()),
+            dfg: Arc::new(dfg.clone()),
+            prefix: KeyPrefix::new(dfg, &lib),
+        };
+        let job = SynthJob::new(workload.spec.clone(), bounds.latency, bounds.area)
+            .with_flow(flow_spec.clone());
+        cache.synthesize_with_workload(&workload, &lib, &job, strategy)
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! * [`Engine::synth_batch`] fans jobs over the deterministic
 //!   [`SweepExecutor`]: results come back in job order and are
 //!   byte-identical at any worker count. Batches, the daemon, and every
-//!   `rchls-explorer` sweep synthesize through it.
+//!   `rchls-explorer` sweep synthesize through it, and the CLI's
+//!   `synth`, `validate` and `store verify` run through
+//!   [`Engine::synth`]. The engine is the only way to run a cached
+//!   synthesis.
 //!
 //! This module also hosts the executor, fingerprint, and cache
 //! primitives the engine is built from.
@@ -51,7 +54,8 @@ mod starts;
 pub mod store_tier;
 
 pub use budget::CacheBudget;
-pub use cache::{CacheKey, CacheStats, KeyPrefix, SynthCache};
+use cache::KeyPrefix;
+pub use cache::{CacheKey, CacheStats, SynthCache};
 pub use executor::SweepExecutor;
 pub use fingerprint::{fingerprint, Fingerprint};
 pub use starts::StartsCache;
@@ -572,16 +576,7 @@ impl Engine {
         let strategy = flow::strategy(&job.strategy)
             .ok_or_else(|| EngineError::UnknownStrategy(job.strategy.clone()))?;
         self.cache
-            .synthesize_with_workload(
-                &workload.prefix,
-                &workload.dfg,
-                &self.library,
-                job.bounds(),
-                &job.flow,
-                job.redundancy,
-                &*strategy,
-                Some(&workload.spec),
-            )
+            .synthesize_with_workload(workload, &self.library, job, &*strategy)
             .ok_or_else(|| EngineError::Infeasible {
                 workload: workload.spec.clone(),
                 bounds: job.bounds(),
@@ -593,7 +588,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SynthRequest;
+    use crate::{Strategy, SynthRequest};
 
     fn engine() -> Engine {
         Engine::new(Library::table1())
@@ -711,6 +706,46 @@ mod tests {
             .synth(&SynthJob::new("builtin:figure4a", 3, 99))
             .unwrap_err();
         assert_eq!(infeasible, again);
+    }
+
+    #[test]
+    fn parametric_strategy_ids_name_jobs() {
+        let e = engine();
+        let job = |strategy: &str| SynthJob::new("builtin:diffeq", 8, 14).with_strategy(strategy);
+        let explicit = e.synth(&job("pipelined@ii=4")).unwrap();
+        let direct = flow::Pipelined::with_ii(4)
+            .run(&SynthRequest::new(
+                &rchls_workloads::diffeq(),
+                e.library(),
+                job("pipelined@ii=4").bounds(),
+            ))
+            .unwrap();
+        assert_eq!(explicit.design, direct.design);
+        // `pipelined` and `pipelined@auto` are one strategy under one key.
+        e.synth(&job("pipelined")).unwrap();
+        e.synth(&job("pipelined@auto")).unwrap();
+        assert_eq!(e.cache_stats(), CacheStats { hits: 1, misses: 2 });
+
+        // Non-canonical spellings are per-job errors in a batch, and the
+        // rest of the batch still runs.
+        let mut jobs: Vec<SynthJob> = [
+            "pipelined@ii=0",
+            "pipelined@ii=03",
+            "pipelined@ii=",
+            "pipelined@ii=x",
+            "ours@ii=2",
+        ]
+        .map(job)
+        .to_vec();
+        jobs.push(job("pipelined@ii=4"));
+        let results = e.synth_batch(&jobs);
+        for (result, job) in results.iter().zip(&jobs).take(jobs.len() - 1) {
+            assert_eq!(
+                result.as_ref().unwrap_err(),
+                &EngineError::UnknownStrategy(job.strategy.clone())
+            );
+        }
+        assert_eq!(results.last().unwrap().as_ref().unwrap(), &explicit);
     }
 
     #[test]

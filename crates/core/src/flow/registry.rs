@@ -199,9 +199,32 @@ pub fn refine_pass(id: &str) -> Option<Arc<dyn RefinePass>> {
 }
 
 /// Looks up a strategy by id.
+///
+/// A registered id matches exactly. On a miss, the parametric ids of the
+/// built-in [`Pipelined`] strategy resolve too: `pipelined@auto` and
+/// `pipelined@ii=N` for `N ≥ 1`, the tokens it writes into cache keys and
+/// store entries (see [`Strategy::fingerprint_token`]). Only canonical
+/// spellings resolve, so `pipelined@ii=0`, `pipelined@ii=03` and
+/// `ours@ii=2` are unknown ids.
 #[must_use]
 pub fn strategy(id: &str) -> Option<Arc<dyn Strategy>> {
-    registries().strategies.get(id)
+    registries()
+        .strategies
+        .get(id)
+        .or_else(|| parametric_strategy(id))
+}
+
+/// Builds the [`Pipelined`] instance a parametric id names, if `id` is
+/// exactly the fingerprint token of that instance.
+fn parametric_strategy(id: &str) -> Option<Arc<dyn Strategy>> {
+    let pipelined = match id.strip_prefix("pipelined@")? {
+        "auto" => Pipelined::auto(),
+        param => {
+            let ii = param.strip_prefix("ii=")?.parse::<u32>().ok();
+            Pipelined::with_ii(ii.filter(|&ii| ii > 0)?)
+        }
+    };
+    (pipelined.fingerprint_token() == id).then(|| Arc::new(pipelined) as Arc<dyn Strategy>)
 }
 
 /// Registered scheduler ids, built-ins first then registration order.
@@ -324,6 +347,40 @@ mod tests {
         assert_eq!(victim_policy_ids()[0], "max-delay");
         assert_eq!(refine_pass_ids()[0], "greedy");
         assert_eq!(strategy_ids()[0], "baseline");
+    }
+
+    #[test]
+    fn every_builtin_token_names_its_strategy() {
+        let mut tokens: Vec<String> = strategy_ids()
+            .iter()
+            .map(|id| strategy(id).unwrap().fingerprint_token())
+            .collect();
+        tokens.extend((1..=16).map(|ii| Pipelined::with_ii(ii).fingerprint_token()));
+        tokens.push(Pipelined::with_ii(u32::MAX).fingerprint_token());
+        for token in tokens {
+            let resolved = strategy(&token).unwrap_or_else(|| panic!("{token} does not resolve"));
+            assert_eq!(resolved.fingerprint_token(), token);
+        }
+    }
+
+    #[test]
+    fn non_canonical_parametric_ids_are_unknown() {
+        for id in [
+            "pipelined@ii=0",
+            "pipelined@ii=03",
+            "pipelined@ii=+3",
+            "pipelined@ii=",
+            "pipelined@ii=x",
+            "pipelined@ii= 3",
+            "pipelined@ii=4294967296",
+            "pipelined@",
+            "pipelined@Auto",
+            "pipelined@auto ",
+            "ours@ii=2",
+            "ours@auto",
+        ] {
+            assert!(strategy(id).is_none(), "{id}");
+        }
     }
 
     #[test]

@@ -119,9 +119,11 @@ impl SynthReport {
 /// A complete synthesis algorithm, dispatched by id.
 ///
 /// The built-in ids are `baseline`, `ours`, `combined`, `pipelined`, and
-/// `redundancy`; out-of-tree strategies join the same namespace via
-/// [`crate::flow::register_strategy`]. Sweep drivers, the CLI, and the
-/// explorer dispatch exclusively through this trait.
+/// `redundancy`, plus the parametric `pipelined@auto` and
+/// `pipelined@ii=N`; out-of-tree strategies join the same namespace via
+/// [`crate::flow::register_strategy`]. The [`Engine`](crate::Engine),
+/// and through it the CLI, the daemon and every sweep, dispatches
+/// exclusively through this trait.
 pub trait Strategy: Send + Sync {
     /// The stable registry id (e.g. `"ours"`).
     fn id(&self) -> &str;
@@ -167,8 +169,42 @@ impl Strategy for Ours {
     }
 }
 
-/// The redundancy-based prior art (Orailoglu–Karri NMR over the fastest
-/// single version per class). Id `"baseline"`.
+/// The redundancy-based prior art the paper compares against, in the
+/// style of Orailoglu–Karri's "maximize reliability given cost and
+/// performance constraints" strategy. Id `"baseline"`.
+///
+/// 1. Every operation uses the *single fixed* version of its class
+///    ([`baseline_versions`](crate::baseline_versions)): prior-art
+///    libraries have one implementation per operation type.
+/// 2. The flow's scheduler places the graph at the full latency bound
+///    `Ld` and its binder shares units maximally, giving the base
+///    allocation and its area.
+/// 3. Any area left under `Ad` is spent on modular redundancy
+///    ([`add_redundancy_with_model`](crate::add_redundancy_with_model)).
+///
+/// [`Strategy::run`] fails with [`SynthesisError::Library`] if a class
+/// the graph uses has no versions, and with
+/// [`SynthesisError::NoSolution`] if the single-version design misses
+/// the latency bound or its minimal-area binding exceeds `Ad`.
+///
+/// # Examples
+///
+/// ```
+/// use rchls_core::{flow, Bounds, SynthRequest};
+/// use rchls_dfg::{DfgBuilder, OpKind};
+/// use rchls_reslib::Library;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let dfg = DfgBuilder::new("pair").ops(&["a", "b"], OpKind::Add).dep("a", "b").build()?;
+/// let library = Library::table1();
+/// let baseline = flow::strategy("baseline").expect("built-in");
+/// let d = baseline.run(&SynthRequest::new(&dfg, &library, Bounds::new(4, 8)))?.design;
+/// assert!(d.area <= 8);
+/// // Both ops on the fixed type-2 adder, one shared unit, duplicated.
+/// assert!(d.reliability.value() > 0.969f64.powi(2));
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Baseline;
 
@@ -182,20 +218,46 @@ impl Strategy for Baseline {
     }
 
     fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
-        crate::baseline::nmr_baseline_report_pooled(
-            request.dfg,
-            request.library,
-            request.bounds,
-            &request.flow,
-            request.redundancy,
-            request.scratch_pool,
-        )
+        crate::baseline::nmr_baseline_report(request)
     }
 }
 
-/// The paper's unified scheme: reliability-centric selection, then
-/// leftover-area redundancy, as a portfolio with the baseline. Id
-/// `"combined"`.
+/// The paper's unified scheme, the "Our approach + Ref \[3\]" column of
+/// its Table 2. Id `"combined"`.
+///
+/// It runs the reliability-centric synthesizer ([`Ours`]), then spends
+/// any area still under the bound on modular redundancy. As in the
+/// paper, redundant copies use *the same version* the reliability-centric
+/// pass selected for the instance ("when we add redundancy for an
+/// operator, we use the same version selected by our reliability-centric
+/// approach as duplicate(s)").
+///
+/// The combined design space *contains* the baseline's (a single-version
+/// design plus redundancy is one point in it), so the unified scheme is
+/// evaluated as a portfolio with [`Baseline`]: if the pure redundancy
+/// design beats the refined-then-replicated one, it is returned instead.
+/// This is what makes the paper's claim — "this combined approach
+/// obtains a better reliability than \[3\]" — hold unconditionally. The
+/// report's diagnostics fold both branches together, and
+/// [`Strategy::run`] fails only when *neither* branch finds a feasible
+/// design.
+///
+/// # Examples
+///
+/// ```
+/// use rchls_core::{flow, Bounds, SynthRequest};
+/// use rchls_dfg::{DfgBuilder, OpKind};
+/// use rchls_reslib::Library;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let dfg = DfgBuilder::new("pair").ops(&["a", "b"], OpKind::Add).dep("a", "b").build()?;
+/// let library = Library::table1();
+/// let combined = flow::strategy("combined").expect("built-in");
+/// let d = combined.run(&SynthRequest::new(&dfg, &library, Bounds::new(4, 6)))?.design;
+/// assert!(d.area <= 6);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Combined;
 
@@ -209,17 +271,48 @@ impl Strategy for Combined {
     }
 
     fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
-        crate::combined::combined_report_for(request)
+        crate::combined::combined_report(request)
     }
 }
 
 /// Pipelined reliability-centric synthesis at a fixed initiation
 /// interval. Id `"pipelined"`.
 ///
-/// The registered default instance runs at the *automatic* interval
-/// `max(1, Ld / 2)`; [`Pipelined::with_ii`] pins an explicit one. The
-/// interval participates in [`Strategy::fingerprint_token`] so cached
-/// sweeps at different intervals never collide.
+/// The paper states its algorithm "can be used for both pipelined and
+/// non-pipelined data-paths" but evaluates only the latter. This
+/// strategy completes the pipelined half: the most reliable design whose
+/// schedule length fits `Ld` and whose **pipelined** binding (units
+/// shared only between operations that never collide modulo the
+/// interval) fits `Ad`. Scheduling balances the modulo occupancy profile
+/// ([`rchls_sched::schedule_modulo`]), binding is
+/// [`rchls_bind::bind_left_edge_pipelined`], and a portfolio of uniform
+/// starts is greedily upgraded under both.
+///
+/// A smaller interval means higher throughput but more unit pressure.
+/// The registered instance runs at the *automatic* interval
+/// `max(1, Ld / 2)`; [`Pipelined::with_ii`] pins an explicit one. Both
+/// are registry ids too, `pipelined@auto` and `pipelined@ii=N` (see
+/// [`strategy`](crate::flow::strategy)). The interval participates in
+/// [`Strategy::fingerprint_token`], so cached runs at different
+/// intervals never collide.
+///
+/// # Examples
+///
+/// ```
+/// use rchls_core::{flow, Bounds, SynthRequest};
+/// use rchls_reslib::Library;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let dfg = rchls_workloads::diffeq();
+/// let library = Library::table1();
+/// let request = SynthRequest::new(&dfg, &library, Bounds::new(8, 12));
+/// let plain = flow::strategy("ours").expect("built-in").run(&request)?.design;
+/// let piped = flow::strategy("pipelined@ii=4").expect("parametric id").run(&request)?.design;
+/// // Pipelining can only increase unit pressure, never reduce it.
+/// assert!(piped.area >= plain.area || piped.reliability.value() <= plain.reliability.value());
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pipelined {
     ii: Option<u32>,
@@ -243,10 +336,16 @@ impl Pipelined {
         Pipelined { ii: Some(ii) }
     }
 
-    /// The interval this instance runs at under `bounds`.
+    /// The interval this instance runs at under `bounds`. An explicit
+    /// interval above `Ld` is clamped to it: every control step
+    /// `t ≤ Ld` already has a residue `(t - 1) mod ii` of its own, so a
+    /// longer interval folds nothing further and gives the same design.
     #[must_use]
     pub fn effective_ii(&self, bounds: Bounds) -> u32 {
-        self.ii.unwrap_or_else(|| (bounds.latency / 2).max(1))
+        match self.ii {
+            Some(ii) => ii.min(bounds.latency),
+            None => (bounds.latency / 2).max(1),
+        }
     }
 }
 
@@ -268,7 +367,7 @@ impl Strategy for Pipelined {
 
     fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
         let ii = self.effective_ii(request.bounds);
-        Synthesizer::for_request(request)?.synthesize_pipelined_report(request.bounds, ii)
+        Synthesizer::for_request(request)?.pipelined_report(request.bounds, ii)
     }
 }
 
@@ -414,6 +513,11 @@ mod tests {
         assert_eq!(Pipelined::auto().effective_ii(Bounds::new(8, 4)), 4);
         assert_eq!(Pipelined::auto().effective_ii(Bounds::new(1, 4)), 1);
         assert_eq!(Pipelined::with_ii(2).effective_ii(Bounds::new(8, 4)), 2);
+        assert_eq!(Pipelined::with_ii(20).effective_ii(Bounds::new(8, 4)), 8);
+        assert_eq!(
+            Pipelined::with_ii(u32::MAX).fingerprint_token(),
+            "pipelined@ii=4294967295"
+        );
     }
 
     #[test]

@@ -11,20 +11,23 @@
 //! implement the [`Strategy`] trait, turning a [`SynthRequest`] into a
 //! diagnostics-carrying [`SynthReport`]. Five strategies ship built in:
 //!
-//! * `"ours"` ([`Synthesizer`]) — the paper's Figure-6 algorithm: start
-//!   from the most reliable version everywhere, then degrade carefully
-//!   chosen victims until the latency bound and then the area bound are
-//!   met;
-//! * `"baseline"` ([`synthesize_nmr_baseline`]) — the redundancy-based
-//!   prior art (Orailoglu–Karri): one fixed version per class,
-//!   reliability grown by N-modular redundancy within the leftover area;
-//! * `"combined"` ([`synthesize_combined`]) — the paper's unified scheme:
-//!   run the reliability-centric algorithm, then spend any remaining area
-//!   on redundancy;
-//! * `"pipelined"` ([`Synthesizer::synthesize_pipelined`]) — the same
-//!   reliability-centric selection under modulo scheduling at a fixed
-//!   initiation interval;
-//! * `"redundancy"` — replication over the best single-version design.
+//! * `"ours"` ([`flow::Ours`], running a [`Synthesizer`]) — the paper's
+//!   Figure-6 algorithm: start from the most reliable version
+//!   everywhere, then degrade carefully chosen victims until the latency
+//!   bound and then the area bound are met;
+//! * `"baseline"` ([`flow::Baseline`]) — the redundancy-based prior art
+//!   (Orailoglu–Karri): one fixed version per class, reliability grown
+//!   by N-modular redundancy within the leftover area;
+//! * `"combined"` ([`flow::Combined`]) — the paper's unified scheme: run
+//!   the reliability-centric algorithm, then spend any remaining area on
+//!   redundancy;
+//! * `"pipelined"` ([`flow::Pipelined`]) — the same reliability-centric
+//!   selection under modulo scheduling at a fixed initiation interval
+//!   (`pipelined@ii=N` names an explicit one);
+//! * `"redundancy"` ([`flow::Redundancy`]) — replication over the best
+//!   single-version design.
+//!
+//! [`flow::strategy`] resolves an id to its strategy.
 //!
 //! Out-of-tree crates extend any slot by registering a trait impl (see
 //! [`flow::register_scheduler`]). [`explore`] drives the (latency, area)
@@ -36,9 +39,10 @@
 //! session: an [`Engine`] interns the library and every workload behind
 //! `Arc`, memoizes synthesis points in a fingerprint cache, and runs
 //! [`SynthJob`] batches in parallel with deterministic, job-ordered
-//! output. Workloads are addressed by spec strings (`builtin:fir16`,
-//! `random:64x8@7`, `file:path.dfg`) resolved through the open
-//! [`rchls_workloads`] source registry.
+//! output. Every synthesizing `rchls` command, the daemon, and every
+//! sweep run through one. Workloads are addressed by spec strings
+//! (`builtin:fir16`, `random:64x8@7`, `file:path.dfg`) resolved through
+//! the open [`rchls_workloads`] source registry.
 //!
 //! # Examples
 //!
@@ -83,9 +87,8 @@ mod sync;
 mod synth;
 mod validate;
 
-pub use baseline::{baseline_versions, nmr_baseline_report, synthesize_nmr_baseline};
+pub use baseline::baseline_versions;
 pub use bounds::Bounds;
-pub use combined::{combined_report, synthesize_combined};
 pub use design::Design;
 pub use engine::{BatchReport, CacheBudget, Engine, EngineError, JobOutcome, SynthJob};
 pub use error::SynthesisError;

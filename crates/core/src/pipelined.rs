@@ -1,8 +1,5 @@
-//! Pipelined reliability-centric synthesis.
-//!
-//! The paper states its algorithm "can be used for both pipelined and
-//! non-pipelined data-paths" but evaluates only the latter. This module
-//! completes the pipelined half: the same reliability-centric version
+//! Pipelined reliability-centric synthesis: the algorithm behind
+//! [`crate::flow::Pipelined`]. The same reliability-centric version
 //! selection, but scheduling balances the *modulo* occupancy profile
 //! ([`rchls_sched::schedule_modulo`]) and binding shares units only
 //! between operations that never collide modulo the initiation interval
@@ -17,14 +14,8 @@ use rchls_bind::bind_left_edge_pipelined;
 use rchls_sched::{asap, schedule_modulo};
 
 impl Synthesizer<'_> {
-    /// Synthesizes a pipelined data path with initiation interval `ii`:
-    /// the most reliable design whose schedule length fits
-    /// `bounds.latency` and whose **pipelined** binding (units shared only
-    /// across non-colliding residues mod `ii`) fits `bounds.area`.
-    ///
-    /// A smaller `ii` means higher throughput but more unit pressure; at
-    /// `ii >= bounds.latency` this degenerates to the non-pipelined
-    /// problem.
+    /// The body of the `"pipelined"` strategy ([`Pipelined`]) at
+    /// initiation interval `ii`.
     ///
     /// # Errors
     ///
@@ -34,40 +25,8 @@ impl Synthesizer<'_> {
     ///
     /// Panics if `ii == 0`.
     ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rchls_core::{Bounds, Synthesizer};
-    /// use rchls_reslib::Library;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let dfg = rchls_workloads::diffeq();
-    /// let library = Library::table1();
-    /// let synth = Synthesizer::new(&dfg, &library);
-    /// let plain = synth.synthesize(Bounds::new(8, 12))?;
-    /// let piped = synth.synthesize_pipelined(Bounds::new(8, 12), 4)?;
-    /// // Pipelining can only increase unit pressure, never reduce it.
-    /// assert!(piped.area >= plain.area || piped.reliability.value() <= plain.reliability.value());
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn synthesize_pipelined(&self, bounds: Bounds, ii: u32) -> Result<Design, SynthesisError> {
-        self.synthesize_pipelined_report(bounds, ii)
-            .map(|r| r.design)
-    }
-
-    /// [`synthesize_pipelined`](Synthesizer::synthesize_pipelined) with a
-    /// full diagnostics-carrying [`SynthReport`] — the engine behind the
-    /// `"pipelined"` [`Strategy`](crate::Strategy).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Synthesizer::synthesize`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ii == 0`.
-    pub fn synthesize_pipelined_report(
+    /// [`Pipelined`]: crate::flow::Pipelined
+    pub(crate) fn pipelined_report(
         &self,
         bounds: Bounds,
         ii: u32,
@@ -214,8 +173,23 @@ impl Synthesizer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rchls_dfg::{DfgBuilder, OpClass, OpKind};
+    use crate::flow::{self, SynthRequest};
+    use rchls_dfg::{Dfg, DfgBuilder, OpClass, OpKind};
     use rchls_reslib::Library;
+
+    /// The `"pipelined@ii=N"` strategy's design at `bounds`, through the
+    /// registry.
+    fn pipelined(
+        g: &Dfg,
+        lib: &Library,
+        bounds: Bounds,
+        ii: u32,
+    ) -> Result<Design, SynthesisError> {
+        let strategy = flow::strategy(&format!("pipelined@ii={ii}")).expect("parametric id");
+        strategy
+            .run(&SynthRequest::new(g, lib, bounds))
+            .map(|r| r.design)
+    }
 
     #[test]
     fn pipelined_design_respects_modulo_area() {
@@ -224,11 +198,10 @@ mod tests {
             .build()
             .unwrap();
         let lib = Library::table1();
-        let synth = Synthesizer::new(&g, &lib);
         // II = 1: every op needs its own unit residue; 4 ops -> heavy area.
-        let d1 = synth.synthesize_pipelined(Bounds::new(8, 16), 1).unwrap();
+        let d1 = pipelined(&g, &lib, Bounds::new(8, 16), 1).unwrap();
         // II = 4: ops can stagger onto fewer units.
-        let d4 = synth.synthesize_pipelined(Bounds::new(8, 16), 4).unwrap();
+        let d4 = pipelined(&g, &lib, Bounds::new(8, 16), 4).unwrap();
         assert!(
             d1.area >= d4.area,
             "II=1 area {} < II=4 area {}",
@@ -248,9 +221,7 @@ mod tests {
         let lib = Library::table1();
         // At II=1 each 1cc add occupies the single residue: four units of
         // at least area 1 each... area bound 2 cannot fit 4 adder units.
-        let err = Synthesizer::new(&g, &lib)
-            .synthesize_pipelined(Bounds::new(8, 2), 1)
-            .unwrap_err();
+        let err = pipelined(&g, &lib, Bounds::new(8, 2), 1).unwrap_err();
         assert!(matches!(err, SynthesisError::NoSolution { .. }));
     }
 
@@ -262,9 +233,7 @@ mod tests {
             .build()
             .unwrap();
         let lib = Library::table1();
-        let d = Synthesizer::new(&g, &lib)
-            .synthesize_pipelined(Bounds::new(6, 8), 3)
-            .unwrap();
+        let d = pipelined(&g, &lib, Bounds::new(6, 8), 3).unwrap();
         // Plenty of slack: both adds should reach the most reliable adder.
         assert!((d.reliability.value() - 0.999f64.powi(2)).abs() < 1e-9);
     }
@@ -273,10 +242,9 @@ mod tests {
     fn large_ii_matches_unpipelined_unit_counts() {
         let g = rchls_workloads::diffeq();
         let lib = Library::table1();
-        let synth = Synthesizer::new(&g, &lib);
         let bounds = Bounds::new(8, 14);
-        let piped = synth.synthesize_pipelined(bounds, bounds.latency).unwrap();
-        let plain = synth.synthesize(bounds).unwrap();
+        let piped = pipelined(&g, &lib, bounds, bounds.latency).unwrap();
+        let plain = Synthesizer::new(&g, &lib).synthesize(bounds).unwrap();
         // With II = latency no folding occurs, so the pipelined result is
         // never worse in area than a non-pipelined design of equal
         // reliability would suggest (both meet the same bounds).

@@ -95,39 +95,23 @@ impl<'a> Synthesizer<'a> {
         library: &'a Library,
         spec: &FlowSpec,
     ) -> Result<Synthesizer<'a>, SynthesisError> {
-        Synthesizer::with_flow_pooled(dfg, library, spec, None)
-    }
-
-    /// [`Synthesizer::with_flow`] borrowing its scratch arenas from a
-    /// session [`ScratchPool`] (and returning them when dropped), so
-    /// batch jobs and sweep points stop re-allocating per point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SynthesisError::UnknownPass`] when a slot names an id the
-    /// registry doesn't know.
-    pub fn with_flow_pooled(
-        dfg: &'a Dfg,
-        library: &'a Library,
-        spec: &FlowSpec,
-        pool: Option<&'a ScratchPool>,
-    ) -> Result<Synthesizer<'a>, SynthesisError> {
-        let scratch = pool.map_or_else(SynthScratch::default, ScratchPool::acquire);
         Ok(Synthesizer {
             dfg,
             library,
             spec: spec.clone(),
             flow: spec.resolve()?,
-            scratch: RefCell::new(scratch),
-            pool,
+            scratch: RefCell::default(),
+            pool: None,
             starts: None,
             timers: PhaseTimers::default(),
         })
     }
 
     /// A synthesizer wired to everything a [`SynthRequest`] carries: the
-    /// flow, the session scratch pool, and the session starts cache.
-    /// This is the constructor strategies use.
+    /// flow, the session scratch pool (its arenas are borrowed from the
+    /// pool and returned on drop, so batch jobs and sweep points stop
+    /// re-allocating per point), and the session starts cache. This is
+    /// the constructor strategies use.
     ///
     /// # Errors
     ///
@@ -138,12 +122,11 @@ impl<'a> Synthesizer<'a> {
     pub fn for_request(
         request: &crate::flow::SynthRequest<'a>,
     ) -> Result<Synthesizer<'a>, SynthesisError> {
-        let mut synth = Synthesizer::with_flow_pooled(
-            request.dfg,
-            request.library,
-            &request.flow,
-            request.scratch_pool(),
-        )?;
+        let mut synth = Synthesizer::with_flow(request.dfg, request.library, &request.flow)?;
+        if let Some(pool) = request.scratch_pool() {
+            synth.scratch = RefCell::new(pool.acquire());
+            synth.pool = Some(pool);
+        }
         synth.starts = request.starts_cache();
         Ok(synth)
     }

@@ -1,14 +1,11 @@
-//! Golden equivalence: every built-in strategy and pass combination must
-//! produce **byte-identical** designs through the trait-based flow API
-//! (`Strategy::run` over a `SynthRequest`) and through the pre-refactor
-//! entry points (`Synthesizer::synthesize`, `synthesize_nmr_baseline`,
-//! `synthesize_combined`, `synthesize_pipelined`), pinned on the
-//! deterministic sweep fixtures.
+//! Golden equivalence on the deterministic sweep fixtures: the `ours`
+//! strategy matches the Figure-6 `Synthesizer` for every pass
+//! combination, the optimized kernels match their `*-reference` twins,
+//! and an explicit pipelining interval past the latency bound matches
+//! the interval at the bound, all byte for byte.
 
-use rchls_core::flow::Pipelined;
 use rchls_core::{
-    flow, synthesize_combined, synthesize_nmr_baseline, Bounds, Design, FlowSpec, RedundancyModel,
-    Strategy, SynthRequest, Synthesizer,
+    flow, Bounds, Design, FlowSpec, Strategy, SynthReport, SynthRequest, Synthesizer,
 };
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
@@ -32,6 +29,16 @@ fn fixtures() -> Vec<(Dfg, Vec<Bounds>)> {
 /// field drift `PartialEq` might coalesce).
 fn bytes(design: &Design) -> String {
     serde_json::to_string(design).expect("designs serialize")
+}
+
+/// A report's deterministic bytes: the design plus wall-time-scrubbed
+/// diagnostics.
+fn report_bytes(r: &SynthReport) -> String {
+    serde_json::to_string(&SynthReport {
+        design: r.design.clone(),
+        diagnostics: r.diagnostics.scrubbed(),
+    })
+    .expect("reports serialize")
 }
 
 fn run_trait(
@@ -81,53 +88,26 @@ fn ours_matches_synthesizer_for_every_pass_combination() {
     }
 }
 
+/// An explicit interval past the latency bound folds nothing further, so
+/// `Pipelined` clamps it to `Ld`: every longer interval gives the report
+/// bytes of `ii = Ld` (and never sizes a residue table by the raw
+/// interval, which at `u32::MAX` would abort on allocation).
 #[test]
-fn baseline_and_combined_match_their_legacy_entry_points() {
+fn pipelined_intervals_past_the_latency_bound_match_the_bound() {
     let lib = Library::table1();
-    let model = RedundancyModel::default();
-    let spec = FlowSpec::default();
-    let baseline = flow::strategy("baseline").unwrap();
-    let combined = flow::strategy("combined").unwrap();
     for (dfg, points) in fixtures() {
         for &bounds in &points {
-            let legacy_base = synthesize_nmr_baseline(&dfg, &lib, bounds, model).ok();
-            let trait_base = run_trait(&*baseline, &dfg, &lib, bounds, &spec);
-            assert_eq!(
-                legacy_base.as_ref().map(bytes),
-                trait_base.as_ref().map(bytes),
-                "baseline at {bounds} on {}",
-                dfg.name()
-            );
-            let legacy_comb = synthesize_combined(&dfg, &lib, bounds, &spec, model).ok();
-            let trait_comb = run_trait(&*combined, &dfg, &lib, bounds, &spec);
-            assert_eq!(
-                legacy_comb.as_ref().map(bytes),
-                trait_comb.as_ref().map(bytes),
-                "combined at {bounds} on {}",
-                dfg.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn pipelined_matches_its_legacy_entry_point() {
-    let lib = Library::table1();
-    let spec = FlowSpec::default();
-    for (dfg, points) in fixtures() {
-        for &bounds in &points {
-            for ii in [2u32, bounds.latency] {
-                let legacy = Synthesizer::new(&dfg, &lib)
-                    .synthesize_pipelined(bounds, ii)
-                    .ok();
-                let strategy = Pipelined::with_ii(ii);
-                let trait_api = run_trait(&strategy, &dfg, &lib, bounds, &spec);
-                assert_eq!(
-                    legacy.as_ref().map(bytes),
-                    trait_api.as_ref().map(bytes),
-                    "pipelined II={ii} at {bounds} on {}",
-                    dfg.name()
-                );
+            let at = |ii: u32| {
+                let strategy = flow::strategy(&format!("pipelined@ii={ii}")).unwrap();
+                strategy
+                    .run(&SynthRequest::new(&dfg, &lib, bounds))
+                    .map(|r| report_bytes(&r))
+                    .map_err(|e| e.to_string())
+            };
+            let ld = bounds.latency;
+            let reference = at(ld);
+            for ii in [ld + 1, 2 * ld + 3, u32::MAX] {
+                assert_eq!(at(ii), reference, "II={ii} at {bounds} on {}", dfg.name());
             }
         }
     }
@@ -168,13 +148,6 @@ fn redundancy_is_deterministic_and_dominates_baseline() {
 #[test]
 fn optimized_and_reference_kernels_agree_across_all_combos_and_strategies() {
     let lib = Library::table1();
-    let report_bytes = |r: &rchls_core::SynthReport| {
-        serde_json::to_string(&rchls_core::SynthReport {
-            design: r.design.clone(),
-            diagnostics: r.diagnostics.scrubbed(),
-        })
-        .expect("reports serialize")
-    };
     for (dfg, points) in fixtures() {
         for scheduler in ["density", "force-directed"] {
             for binder in ["left-edge", "coloring"] {
@@ -205,8 +178,8 @@ fn optimized_and_reference_kernels_agree_across_all_combos_and_strategies() {
                                     )
                                     .ok();
                                 assert_eq!(
-                                    fast.as_ref().map(&report_bytes),
-                                    slow.as_ref().map(&report_bytes),
+                                    fast.as_ref().map(report_bytes),
+                                    slow.as_ref().map(report_bytes),
                                     "{} {strategy_id} {scheduler}/{binder}/{victim}/{refine} \
                                      at {bounds}",
                                     dfg.name()
@@ -235,13 +208,6 @@ fn greedy_and_greedy_reference_agree_across_combos_and_strategies() {
     let lib = Library::table1();
     let scratch = rchls_core::ScratchPool::new();
     let starts = rchls_core::engine::StartsCache::new();
-    let report_bytes = |r: &rchls_core::SynthReport| {
-        serde_json::to_string(&rchls_core::SynthReport {
-            design: r.design.clone(),
-            diagnostics: r.diagnostics.scrubbed(),
-        })
-        .expect("reports serialize")
-    };
     for (dfg, points) in fixtures() {
         for scheduler in ["density", "force-directed"] {
             for binder in ["left-edge", "coloring"] {
@@ -269,8 +235,8 @@ fn greedy_and_greedy_reference_agree_across_combos_and_strategies() {
                                 )
                                 .ok();
                             assert_eq!(
-                                fast.as_ref().map(&report_bytes),
-                                slow.as_ref().map(&report_bytes),
+                                fast.as_ref().map(report_bytes),
+                                slow.as_ref().map(report_bytes),
                                 "{} {strategy_id} {scheduler}/{binder}/{victim} at {bounds}",
                                 dfg.name()
                             );

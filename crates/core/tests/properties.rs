@@ -5,10 +5,7 @@
 
 use proptest::prelude::*;
 use rchls_core::explore::sweep;
-use rchls_core::{
-    monte_carlo_reliability, synthesize_combined, synthesize_nmr_baseline, Bounds, FlowSpec,
-    RedundancyModel, Synthesizer,
-};
+use rchls_core::{flow, monte_carlo_reliability, Bounds, SynthRequest, Synthesizer};
 use rchls_dfg::{Dfg, NodeId, OpKind};
 use rchls_reslib::Library;
 
@@ -63,9 +60,11 @@ proptest! {
     fn combined_dominates_both_strategies(g in small_dag()) {
         let lib = Library::table1();
         let bounds = Bounds::new(3 * g.node_count() as u32, 16);
-        let ours = Synthesizer::new(&g, &lib).synthesize(bounds);
-        let base = synthesize_nmr_baseline(&g, &lib, bounds, RedundancyModel::default());
-        let comb = synthesize_combined(&g, &lib, bounds, &FlowSpec::default(), RedundancyModel::default());
+        let run = |id: &str| {
+            let strategy = flow::strategy(id).expect("built-in");
+            strategy.run(&SynthRequest::new(&g, &lib, bounds)).map(|r| r.design)
+        };
+        let (ours, base, comb) = (run("ours"), run("baseline"), run("combined"));
         if let Ok(c) = &comb {
             prop_assert!(c.latency <= bounds.latency && c.area <= bounds.area);
             if let Ok(o) = &ours {

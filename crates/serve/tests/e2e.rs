@@ -334,6 +334,45 @@ fn a_panicking_request_leaves_the_daemon_serving() {
 }
 
 #[test]
+fn parametric_strategy_ids_are_served_and_bad_spellings_answered() {
+    let (handle, addr) = start(ephemeral(1, 4));
+    let mut client = Client::connect(&addr).unwrap();
+    // Every non-canonical spelling is a job error in a normal response.
+    for id in [
+        "pipelined@ii=0",
+        "pipelined@ii=03",
+        "pipelined@ii=",
+        "pipelined@ii=x",
+        "ours@ii=2",
+    ] {
+        let job = SynthJob::new("builtin:diffeq", 8, 14).with_strategy(id);
+        let doc = client
+            .call("synth", Some(&serde_json::to_value(&job)), None)
+            .unwrap();
+        let outcome = response_result(&doc).expect("a job error is still a result");
+        let error = map_get(outcome.as_map().unwrap(), "error").unwrap();
+        assert_eq!(
+            error,
+            &Value::Str(format!("{id:?} is not a registered strategy")),
+            "{id}"
+        );
+    }
+    // ...and the daemon keeps serving: the canonical id answers exactly
+    // what the offline engine does.
+    let job = SynthJob::new("builtin:diffeq", 8, 14).with_strategy("pipelined@ii=4");
+    let doc = client
+        .call("synth", Some(&serde_json::to_value(&job)), None)
+        .unwrap();
+    let offline = Engine::new(Library::table1()).run_batch(std::slice::from_ref(&job));
+    assert_eq!(
+        response_result(&doc),
+        Some(&serde_json::to_value(&offline.outcomes[0]))
+    );
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn store_backed_daemon_survives_a_poisoned_store() {
     // A store-backed daemon: synthesis results persist across restarts,
     // metrics reports store facts, and corrupted entries are quarantined

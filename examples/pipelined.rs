@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example pipelined`.
 
-use rc_hls::core::{Bounds, Synthesizer};
+use rc_hls::core::{flow, Bounds, SynthRequest};
 use rc_hls::reslib::Library;
 
 fn main() {
@@ -20,9 +20,10 @@ fn main() {
         "{:>4} {:>10} {:>6} {:>12}   note",
         "II", "throughput", "area", "reliability"
     );
-    let synth = Synthesizer::new(&dfg, &library);
+    let request = SynthRequest::new(&dfg, &library, bounds);
     for ii in [1u32, 2, 3, 4, 7, 14] {
-        match synth.synthesize_pipelined(bounds, ii) {
+        let strategy = flow::strategy(&format!("pipelined@ii={ii}")).expect("parametric id");
+        match strategy.run(&request).map(|report| report.design) {
             Ok(d) => println!(
                 "{ii:>4} {:>10} {:>6} {:>12}   {}",
                 format!("1/{ii} cyc"),

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use rc_hls::core::{Bounds, Synthesizer};
+use rc_hls::core::{flow, Bounds, SynthRequest, Synthesizer};
 use rc_hls::reslib::Library;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,12 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Compare with the single-version alternative a conventional flow
     // would pick (everything on the fast type-2 units).
-    let single = rc_hls::core::synthesize_nmr_baseline(
-        &dfg,
-        &library,
-        bounds,
-        rc_hls::core::RedundancyModel::default(),
-    )?;
+    let baseline = flow::strategy("baseline").expect("built-in strategy");
+    let single = baseline
+        .run(&SynthRequest::new(&dfg, &library, bounds))?
+        .design;
     println!(
         "single-version + redundancy baseline reliability: {}",
         single.reliability

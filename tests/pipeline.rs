@@ -2,13 +2,19 @@
 //! synthesis → schedule/binding validation → reliability) across crates.
 
 use rc_hls::bind::bind_left_edge;
-use rc_hls::core::{
-    synthesize_combined, synthesize_nmr_baseline, Bounds, FlowSpec, RedundancyModel, Synthesizer,
-};
-use rc_hls::dfg::OpClass;
+use rc_hls::core::{flow, Bounds, Design, SynthRequest, SynthesisError, Synthesizer};
+use rc_hls::dfg::{Dfg, OpClass};
 use rc_hls::relmath::serial_reliability;
 use rc_hls::reslib::Library;
 use rc_hls::sched::{asap, schedule_density};
+
+/// The design the strategy registered under `id` synthesizes at `bounds`.
+fn run(id: &str, dfg: &Dfg, library: &Library, bounds: Bounds) -> Result<Design, SynthesisError> {
+    let strategy = flow::strategy(id).unwrap_or_else(|| panic!("{id} is not a strategy id"));
+    strategy
+        .run(&SynthRequest::new(dfg, library, bounds))
+        .map(|report| report.design)
+}
 
 /// Representative feasible bounds per benchmark (see DESIGN.md §5).
 fn bounds_for(name: &str) -> Bounds {
@@ -58,16 +64,9 @@ fn three_strategies_rank_consistently_on_diffeq() {
     let dfg = rc_hls::workloads::diffeq();
     let library = Library::table1();
     let bounds = Bounds::new(5, 11);
-    let base = synthesize_nmr_baseline(&dfg, &library, bounds, RedundancyModel::default()).unwrap();
-    let ours = Synthesizer::new(&dfg, &library).synthesize(bounds).unwrap();
-    let comb = synthesize_combined(
-        &dfg,
-        &library,
-        bounds,
-        &FlowSpec::default(),
-        RedundancyModel::default(),
-    )
-    .unwrap();
+    let base = run("baseline", &dfg, &library, bounds).unwrap();
+    let ours = run("ours", &dfg, &library, bounds).unwrap();
+    let comb = run("combined", &dfg, &library, bounds).unwrap();
     assert!(
         ours.reliability.value() > base.reliability.value(),
         "ours {} must beat baseline {} at tight bounds",
@@ -86,8 +85,8 @@ fn baseline_wins_with_loose_area_like_the_paper_observes() {
     let dfg = rc_hls::workloads::fir16();
     let library = Library::table1();
     let bounds = Bounds::new(14, 24);
-    let base = synthesize_nmr_baseline(&dfg, &library, bounds, RedundancyModel::default()).unwrap();
-    let ours = Synthesizer::new(&dfg, &library).synthesize(bounds).unwrap();
+    let base = run("baseline", &dfg, &library, bounds).unwrap();
+    let ours = run("ours", &dfg, &library, bounds).unwrap();
     assert!(
         base.reliability.value() > ours.reliability.value(),
         "baseline {} should overtake ours {} at loose area",
@@ -95,14 +94,7 @@ fn baseline_wins_with_loose_area_like_the_paper_observes() {
         ours.reliability
     );
     // ...and the combined approach recovers the lead.
-    let comb = synthesize_combined(
-        &dfg,
-        &library,
-        bounds,
-        &FlowSpec::default(),
-        RedundancyModel::default(),
-    )
-    .unwrap();
+    let comb = run("combined", &dfg, &library, bounds).unwrap();
     assert!(comb.reliability.value() + 1e-9 >= base.reliability.value());
 }
 
@@ -112,13 +104,7 @@ fn paper_pinned_values_diffeq_baseline() {
     // reproduced exactly by our baseline at the same bounds.
     let dfg = rc_hls::workloads::diffeq();
     let library = Library::table1();
-    let base = synthesize_nmr_baseline(
-        &dfg,
-        &library,
-        Bounds::new(5, 11),
-        RedundancyModel::default(),
-    )
-    .unwrap();
+    let base = run("baseline", &dfg, &library, Bounds::new(5, 11)).unwrap();
     assert!((base.reliability.value() - 0.70723).abs() < 5e-6);
 }
 
@@ -170,11 +156,8 @@ fn manual_pipeline_matches_synthesizer_components() {
 fn pipelined_synthesis_end_to_end() {
     let dfg = rc_hls::workloads::butterfly8();
     let library = Library::table1();
-    let synth = Synthesizer::new(&dfg, &library);
     let bounds = Bounds::new(14, 40);
-    let d = synth
-        .synthesize_pipelined(bounds, 4)
-        .expect("II=4 is feasible");
+    let d = run("pipelined@ii=4", &dfg, &library, bounds).expect("II=4 is feasible");
     assert!(d.latency <= bounds.latency && d.area <= bounds.area);
     let delays = d.assignment.delays(&dfg, &library);
     d.schedule.validate(&dfg, &delays).unwrap();
@@ -191,7 +174,7 @@ fn pipelined_synthesis_end_to_end() {
         }
     }
     // Tighter II costs area (or is infeasible), never the reverse.
-    if let Ok(d2) = synth.synthesize_pipelined(bounds, 2) {
+    if let Ok(d2) = run("pipelined@ii=2", &dfg, &library, bounds) {
         assert!(d2.area >= d.area);
     }
 }
@@ -221,8 +204,8 @@ fn mission_time_derating_amplifies_the_gap() {
     let long = short.at_mission_time(5.0);
     let bounds = Bounds::new(5, 11);
     let gap = |lib: &Library| {
-        let ours = Synthesizer::new(&dfg, lib).synthesize(bounds).unwrap();
-        let base = synthesize_nmr_baseline(&dfg, lib, bounds, RedundancyModel::default()).unwrap();
+        let ours = run("ours", &dfg, lib, bounds).unwrap();
+        let base = run("baseline", &dfg, lib, bounds).unwrap();
         ours.reliability.value() - base.reliability.value()
     };
     assert!(gap(&long) > gap(&short));
