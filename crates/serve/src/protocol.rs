@@ -74,10 +74,10 @@ pub struct Request {
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let doc: Value =
         serde_json::from_str(line).map_err(|e| format!("request is not valid JSON: {e}"))?;
-    let entries = doc
-        .as_map()
-        .ok_or_else(|| "request must be a JSON object".to_owned())?;
-    match map_get(entries, "v") {
+    let Value::Map(mut entries) = doc else {
+        return Err("request must be a JSON object".to_owned());
+    };
+    match map_get(&entries, "v") {
         Some(Value::UInt(v)) if *v == PROTOCOL_VERSION => {}
         Some(Value::Int(v)) if *v == PROTOCOL_VERSION as i64 => {}
         Some(other) => {
@@ -91,23 +91,32 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             ))
         }
     }
-    let method = match map_get(entries, "method") {
+    let method = match map_get(&entries, "method") {
         Some(Value::Str(m)) => m.clone(),
         Some(_) => return Err("\"method\" must be a string".to_owned()),
         None => return Err("request is missing \"method\"".to_owned()),
     };
-    let deadline_ms = match map_get(entries, "deadline_ms") {
+    let deadline_ms = match map_get(&entries, "deadline_ms") {
         None | Some(Value::Null) => None,
         Some(Value::UInt(ms)) => Some(*ms),
         Some(Value::Int(ms)) if *ms >= 0 => Some(*ms as u64),
         Some(_) => return Err("\"deadline_ms\" must be a non-negative integer".to_owned()),
     };
     Ok(Request {
-        id: map_get(entries, "id").cloned().unwrap_or(Value::Null),
+        id: take(&mut entries, "id"),
         method,
-        params: map_get(entries, "params").cloned().unwrap_or(Value::Null),
+        params: take(&mut entries, "params"),
         deadline_ms,
     })
+}
+
+/// Moves the value of `key`'s first entry (the one [`map_get`] finds)
+/// out of a parsed map; `Value::Null` when the key is absent.
+fn take(entries: &mut [(Value, Value)], key: &str) -> Value {
+    entries
+        .iter_mut()
+        .find(|(k, _)| k.as_str() == Some(key))
+        .map_or(Value::Null, |(_, v)| std::mem::replace(v, Value::Null))
 }
 
 /// Serializes one success response line (no trailing newline).
@@ -195,6 +204,17 @@ mod tests {
         assert_eq!(req.id, Value::Null);
         assert_eq!(req.params, Value::Null);
         assert_eq!(req.deadline_ms, None);
+        // A repeated key reads its first occurrence, as `map_get` does.
+        let req = parse_request(
+            r#"{"v": 1, "id": 1, "params": [2], "id": 3, "params": 4, "method": "ping"}"#,
+        )
+        .unwrap();
+        assert_eq!(req.id, Value::UInt(1));
+        assert_eq!(req.params, Value::Seq(vec![Value::UInt(2)]));
+        // A UTF-16 surrogate-pair escape (what Python's `json.dumps`
+        // sends for non-BMP text) decodes to one char.
+        let req = parse_request(r#"{"v": 1, "id": "\ud83d\ude00", "method": "ping"}"#).unwrap();
+        assert_eq!(req.id, Value::Str("\u{1f600}".to_owned()));
     }
 
     #[test]

@@ -242,6 +242,17 @@ fn malformed_requests_get_structured_bad_request() {
     assert_eq!(response_error_kind(&doc), Some("bad_request"));
     assert_eq!(map_get(doc.as_map().unwrap(), "id"), Some(&Value::Null));
 
+    // 100 000 nested arrays (200 KB on one line) would overflow the
+    // reader thread's stack in a recursive parser; the parser's depth
+    // limit turns it into one bad_request, and the calls below show the
+    // connection still serves.
+    let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    let raw = client.roundtrip(&deep).unwrap();
+    let doc: Value = serde_json::from_str(&raw).unwrap();
+    assert_eq!(response_error_kind(&doc), Some("bad_request"));
+    assert_eq!(map_get(doc.as_map().unwrap(), "id"), Some(&Value::Null));
+    assert!(raw.contains("128 levels"), "{raw}");
+
     // Unknown method.
     let doc = client.call("frobnicate", None, None).unwrap();
     assert_eq!(response_error_kind(&doc), Some("bad_request"));
