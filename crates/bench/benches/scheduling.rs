@@ -1,11 +1,9 @@
 //! Scheduler performance and ablation: the paper's partition-density
-//! scheduler vs force-directed vs resource-constrained list scheduling.
+//! scheduler vs force-directed scheduling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rchls_dfg::OpClass;
-use rchls_sched::{
-    alap, asap, schedule_density, schedule_force_directed, schedule_list, Delays, ResourceLimits,
-};
+use rchls_sched::{alap, asap, schedule_density, schedule_force_directed, Delays};
 use rchls_workloads::{random_layered_dfg, RandomDfgConfig};
 use std::hint::black_box;
 
@@ -30,12 +28,6 @@ fn bench_schedulers(c: &mut Criterion) {
     });
     group.bench_function("force-directed", |b| {
         b.iter(|| black_box(schedule_force_directed(&dfg, &delays, latency)).ok())
-    });
-    let limits = ResourceLimits::new()
-        .with(OpClass::Adder, 2)
-        .with(OpClass::Multiplier, 2);
-    group.bench_function("list", |b| {
-        b.iter(|| black_box(schedule_list(&dfg, &delays, &limits)).ok())
     });
     group.finish();
 }

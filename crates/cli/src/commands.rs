@@ -2,7 +2,7 @@
 
 use crate::args::ParsedArgs;
 use crate::error::CliError;
-use rchls_core::engine::{CacheKey, CacheStats, StoredEntry};
+use rchls_core::engine::{CacheKey, StoredEntry, TableStats};
 use rchls_core::explore::format_table;
 use rchls_core::{
     flow, monte_carlo_reliability, Bounds, CacheBudget, Engine, EngineError, FlowSpec,
@@ -341,22 +341,22 @@ fn synth_bounds(
 }
 
 /// The session cache facts of one CLI run as a JSON map: hit/miss
-/// counters plus table sizes for the synthesis, start-pool, and
-/// allocation-design caches (ROADMAP's unbounded-growth watch numbers).
+/// counters plus resident table sizes for the synthesis, start-pool, and
+/// allocation-design caches.
 fn session_caches_value(engine: &Engine) -> serde::Value {
-    let table = |stats: CacheStats, size_key: &str, size: usize| {
+    let table = |stats: TableStats, size_key: &str| {
         serde::Value::Map(vec![
             (
                 serde::Value::Str("hits".to_owned()),
-                serde::Value::UInt(stats.hits),
+                serde::Value::UInt(stats.lookups.hits),
             ),
             (
                 serde::Value::Str("misses".to_owned()),
-                serde::Value::UInt(stats.misses),
+                serde::Value::UInt(stats.lookups.misses),
             ),
             (
                 serde::Value::Str(size_key.to_owned()),
-                serde::Value::UInt(size as u64),
+                serde::Value::UInt(stats.len as u64),
             ),
         ])
     };
@@ -365,15 +365,15 @@ fn session_caches_value(engine: &Engine) -> serde::Value {
     serde::Value::Map(vec![
         (
             serde::Value::Str("synth_cache".to_owned()),
-            table(cache.stats(), "points", cache.len()),
+            table(cache.stats(), "points"),
         ),
         (
             serde::Value::Str("starts_cache".to_owned()),
-            table(starts.stats(), "pools", starts.len()),
+            table(starts.stats(), "pools"),
         ),
         (
             serde::Value::Str("alloc_cache".to_owned()),
-            table(starts.alloc_stats(), "designs", starts.alloc_len()),
+            table(starts.alloc_stats(), "designs"),
         ),
     ])
 }
@@ -887,10 +887,8 @@ pub fn metrics(args: &ParsedArgs) -> Result<String, CliError> {
     }
     rchls_telemetry::metrics::reset();
     let engine = Engine::new(load_library(args)?).with_jobs(jobs_arg(args)?);
-    // Distinct workload specs keep the hit/miss tallies deterministic at
-    // any worker count: the cold run misses every key exactly once (no
-    // two workers ever race on the same fingerprint), the warm run hits
-    // every one.
+    // The cold run misses every key exactly once and the warm run hits
+    // every one, at any worker count.
     let jobs: Vec<SynthJob> = [
         ("builtin:figure4a", 6, 4),
         ("builtin:diffeq", 6, 11),
@@ -904,14 +902,19 @@ pub fn metrics(args: &ParsedArgs) -> Result<String, CliError> {
         let _ = engine.synth_batch(&jobs);
     }
     let key = |k: &str| serde::Value::Str(k.to_owned());
-    let session_table = |stats: CacheStats, size_key: &str, size: usize| {
+    let session_table = |stats: TableStats, size_key: &str| {
         serde::Value::Map(vec![
-            (key("hits"), serde::Value::UInt(stats.hits)),
-            (key("misses"), serde::Value::UInt(stats.misses)),
-            (key("hit_rate"), serde::Value::Float(stats.hit_rate())),
-            (key(size_key), serde::Value::UInt(size as u64)),
+            (key("hits"), serde::Value::UInt(stats.lookups.hits)),
+            (key("misses"), serde::Value::UInt(stats.lookups.misses)),
+            (
+                key("hit_rate"),
+                serde::Value::Float(stats.lookups.hit_rate()),
+            ),
+            (key(size_key), serde::Value::UInt(stats.seen as u64)),
         ])
     };
+    let cache = engine.cache();
+    let starts = cache.starts_cache();
     let doc = serde::Value::Map(vec![
         (
             key("demo"),
@@ -923,21 +926,11 @@ pub fn metrics(args: &ParsedArgs) -> Result<String, CliError> {
         (
             key("session"),
             serde::Value::Map(vec![
-                (
-                    key("synth_cache"),
-                    session_table(engine.cache_stats(), "points", engine.memoized_points()),
-                ),
-                (
-                    key("starts_cache"),
-                    session_table(engine.starts_cache_stats(), "pools", engine.starts_pools()),
-                ),
+                (key("synth_cache"), session_table(cache.stats(), "points")),
+                (key("starts_cache"), session_table(starts.stats(), "pools")),
                 (
                     key("alloc_cache"),
-                    session_table(
-                        engine.alloc_cache_stats(),
-                        "designs",
-                        engine.alloc_designs(),
-                    ),
+                    session_table(starts.alloc_stats(), "designs"),
                 ),
             ]),
         ),

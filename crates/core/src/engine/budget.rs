@@ -1,13 +1,13 @@
 //! The session cache budget and the size-accounted LRU table every
-//! engine cache layer builds on.
+//! engine memo table builds on.
 //!
-//! ROADMAP item 1 flags unbounded cache growth as the blocker for
-//! long-running sessions: the [`SynthCache`](crate::engine::SynthCache),
-//! the [`StartsCache`](crate::engine::StartsCache) (two tables), and the
-//! [`ScratchPool`](crate::ScratchPool) all retain everything forever. A
-//! [`CacheBudget`] splits one byte allowance across those four layers,
-//! and a [`BudgetedTable`] enforces a layer's share with least-recently-
-//! used eviction over approximate entry sizes.
+//! A long-running session must not retain everything forever. A
+//! [`CacheBudget`] splits one byte allowance across four layers: the
+//! report table of the [`SynthCache`](crate::engine::SynthCache), the
+//! two tables of the [`StartsCache`](crate::engine::StartsCache), and the
+//! [`ScratchPool`](crate::ScratchPool). A [`BudgetedTable`] enforces a
+//! table's share with least-recently-used eviction over approximate
+//! entry sizes.
 //!
 //! Eviction never changes synthesis outputs — an evicted entry is simply
 //! recomputed on the next request, and every cached artifact replays
@@ -146,8 +146,8 @@ struct Slot<V> {
 
 /// A size-accounted LRU map from 64-bit fingerprints to cache entries.
 ///
-/// Not thread-safe by itself — each cache layer wraps one in its
-/// existing `Mutex`, so recency updates piggyback on the lock the
+/// Not thread-safe by itself — each memo table (`engine::memo`) wraps
+/// one in its `Mutex`, so recency updates piggyback on the lock the
 /// lookup already holds. Eviction scans for the minimum recency tick
 /// (`O(resident)` per evicted entry); resident counts under any sane
 /// budget are small enough that this beats maintaining an intrusive

@@ -17,8 +17,9 @@
 //! `(DFG, library)`, computed once per workload an engine interns, and
 //! `KeyPrefix::key` finishes each request's key from it.
 
-use crate::engine::budget::{BudgetedTable, CacheBudget};
+use crate::engine::budget::CacheBudget;
 use crate::engine::fingerprint::Fingerprint;
+use crate::engine::memo::{Fill, Memo, TableStats};
 use crate::engine::store_tier::{self, Provenance, StoreOutcome};
 use crate::engine::{InternedWorkload, SynthJob};
 use crate::{
@@ -27,8 +28,8 @@ use crate::{
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
 use rchls_store::ResultStore;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::convert::Infallible;
+use std::sync::{Arc, OnceLock};
 
 /// The cache key: a content fingerprint of every input that can change a
 /// synthesis result.
@@ -130,44 +131,29 @@ impl CacheStats {
     }
 }
 
-/// One memoized outcome, carrying the cheap-to-compare request facts
-/// (`bounds`, the strategy token) so a 64-bit fingerprint collision
-/// between two different requests is detected instead of silently
-/// returning the wrong design. (The remaining inputs — DFG, library,
-/// flow — vary far less across a sweep, so the pair covers virtually all
-/// of the key diversity.)
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    bounds: Bounds,
-    strategy: String,
-    result: Option<SynthReport>,
-}
+/// The request facts a report is computed for: its bounds and strategy
+/// token. They are cheap to compare, so a 64-bit fingerprint collision
+/// between two requests is detected instead of answered with the wrong
+/// design. (The other inputs (DFG, library, flow) vary far less across a
+/// sweep, so the pair covers virtually all of the key diversity.)
+type ReportFacts = (Bounds, String);
 
-impl CacheEntry {
-    /// Approximate bytes this entry keeps resident — the size-accounting
-    /// input for the cache's LRU budget.
-    fn approx_bytes(&self) -> usize {
-        size_of::<CacheEntry>()
-            + self.strategy.capacity()
-            + self.result.as_ref().map_or(0, SynthReport::approx_bytes)
-    }
-}
-
-/// A thread-safe memo table of synthesis reports.
+/// The session memo of synthesis reports.
 ///
-/// Stores `Option<SynthReport>` per key — `None` records an *infeasible*
-/// point so repeated sweeps don't re-prove infeasibility either. The lock
-/// is held only for lookups and inserts, never across a synthesis run, so
-/// parallel workers proceed without serializing on the cache. (Two
-/// workers may race to compute the same fresh key; both compute the same
-/// deterministic result, and the second insert is a harmless overwrite.)
+/// Stores `Option<SynthReport>` per key: `None` records an *infeasible*
+/// point, so repeated sweeps don't re-prove infeasibility either. The
+/// reports are one memo table (see `engine::memo`): a table lock is never
+/// held across a synthesis run, and concurrent misses on one key compute
+/// once, the first leading and the rest joining it as hits. A leader's
+/// fill step probes the on-disk store, when one is attached, before it
+/// synthesizes, and writes a fresh result back.
 ///
 /// Cached reports keep the wall time of the run that populated the entry;
 /// callers assembling deterministic artifacts scrub it (see
 /// [`crate::Diagnostics::scrubbed`]).
 ///
-/// Under a [`CacheBudget`], every layer this cache owns (the memo table
-/// here, the two [`StartsCache`](crate::engine::StartsCache) tables, and
+/// Under a [`CacheBudget`], every layer this cache owns (the report
+/// table, the two [`StartsCache`](crate::engine::StartsCache) tables, and
 /// the scratch pool) evicts least-recently-used entries to stay inside
 /// its share — see [`Engine::with_cache_budget`](crate::Engine::with_cache_budget).
 /// Eviction never changes outputs, only recompute cost.
@@ -177,9 +163,7 @@ impl CacheEntry {
 /// exposes this one for its counters and lower-level probes.
 #[derive(Debug)]
 pub struct SynthCache {
-    entries: Mutex<BudgetedTable<CacheEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    reports: Memo<ReportFacts, (), Option<SynthReport>>,
     /// Session scratch arenas lent to every miss's synthesis run, so a
     /// sweep/batch over this cache allocates one arena per concurrent
     /// worker instead of per point.
@@ -189,7 +173,7 @@ pub struct SynthCache {
     /// refining flow this cache runs.
     starts: crate::engine::StartsCache,
     /// The optional on-disk second tier (see `SynthCache::set_store`):
-    /// probed after a memory miss, written back after a fresh
+    /// probed by a leader's fill step, written back after a fresh
     /// synthesis. Set once per session.
     store: OnceLock<Arc<ResultStore>>,
 }
@@ -199,9 +183,9 @@ impl SynthCache {
     #[must_use]
     pub(crate) fn new() -> SynthCache {
         SynthCache {
-            entries: Mutex::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            reports: Memo::new(crate::obs::synth_cache, |(_, token), report| {
+                token.capacity() + report.as_ref().map_or(0, SynthReport::approx_bytes)
+            }),
             scratch: crate::scratch::ScratchPool::new(),
             starts: crate::engine::StartsCache::new(),
             store: OnceLock::new(),
@@ -278,12 +262,11 @@ impl SynthCache {
         &self.starts
     }
 
-    /// Applies a session-wide cache budget: the memo table takes the
+    /// Applies a session-wide cache budget: the report table takes the
     /// synth share, the starts/alloc tables and the scratch pool take
     /// theirs. Layers over their new share evict immediately.
     pub(crate) fn set_budget(&self, budget: CacheBudget) {
-        let evicted = crate::sync::lock_unpoisoned(&self.entries).set_budget(budget.synth_share());
-        crate::obs::synth_cache_evictions().add(evicted);
+        self.reports.set_budget(budget.synth_share());
         self.starts
             .set_budget(budget.starts_share(), budget.alloc_share());
         self.scratch.set_budget(budget.scratch_share());
@@ -316,125 +299,50 @@ impl SynthCache {
         provenance: impl FnOnce() -> Option<Provenance>,
         compute: impl FnOnce() -> Result<SynthReport, SynthesisError>,
     ) -> Option<SynthReport> {
-        let mut collided = false;
-        if let Some(entry) = crate::sync::lock_unpoisoned(&self.entries).get(key.0) {
-            if entry.bounds == bounds && entry.strategy == strategy_token {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                crate::obs::synth_cache_hits().incr();
-                return entry.result.clone();
-            }
-            collided = true;
-        }
-        // Second tier: the on-disk store. Skipped when the memory entry
-        // collided — the store is keyed by the same fingerprint, so its
-        // entry is just as suspect for this request.
-        let mut probe_store = !collided;
-        if probe_store {
-            if let Some(store) = self.store.get() {
-                match store_tier::load(store, key, bounds, strategy_token) {
-                    StoreOutcome::Hit(result) => {
-                        // Promote into the memory tier so `seen_points`
-                        // and later lookups match a cold-computed
-                        // session, then answer.
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.insert_entry(key, bounds, strategy_token, result.clone());
-                        return result;
+        let same = |(b, token): &ReportFacts| *b == bounds && token == strategy_token;
+        let facts = || (bounds, strategy_token.to_owned());
+        let Ok(report) = self.reports.get_or_fill(
+            key.0,
+            same,
+            facts,
+            |()| {},
+            |leader| {
+                // A collision (no slot) skips the store: it is keyed by the
+                // same fingerprint, so its entry is just as suspect.
+                let Some(store) = self.store.get().filter(|_| leader.is_some()) else {
+                    return Ok::<_, Infallible>(Fill::Computed(compute().ok()));
+                };
+                Ok(match store_tier::load(store, key, bounds, strategy_token) {
+                    StoreOutcome::Hit(report) => Fill::Loaded(report),
+                    StoreOutcome::Collision => Fill::Uncacheable(compute().ok()),
+                    StoreOutcome::Miss => {
+                        let report = compute().ok();
+                        store_tier::save(
+                            store,
+                            key,
+                            bounds,
+                            strategy_token,
+                            report.as_ref(),
+                            provenance(),
+                        );
+                        Fill::Computed(report)
                     }
-                    StoreOutcome::Collision => {
-                        collided = true;
-                        probe_store = false;
-                    }
-                    StoreOutcome::Miss => {}
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        crate::obs::synth_cache_misses().incr();
-        let result = compute().ok();
-        if !collided {
-            self.insert_entry(key, bounds, strategy_token, result.clone());
-            if probe_store {
-                if let Some(store) = self.store.get() {
-                    store_tier::save(
-                        store,
-                        key,
-                        bounds,
-                        strategy_token,
-                        result.as_ref(),
-                        provenance(),
-                    );
-                }
-            }
-        }
-        result
+                })
+            },
+        );
+        Arc::unwrap_or_clone(report)
     }
 
-    /// Inserts one memoized outcome, with the eviction and residency
-    /// accounting every insert path shares.
-    fn insert_entry(
-        &self,
-        key: CacheKey,
-        bounds: Bounds,
-        strategy_token: &str,
-        result: Option<SynthReport>,
-    ) {
-        crate::obs::synth_cache_inserts().incr();
-        let entry = CacheEntry {
-            bounds,
-            strategy: strategy_token.to_owned(),
-            result,
-        };
-        let bytes = entry.approx_bytes();
-        let (evicted, resident) = {
-            let mut table = crate::sync::lock_unpoisoned(&self.entries);
-            let evicted = table.insert(key.0, entry, bytes);
-            (evicted, table.resident_bytes())
-        };
-        crate::obs::synth_cache_evictions().add(evicted);
-        crate::obs::synth_cache_resident_bytes().record(resident as u64);
-    }
-
-    /// Hit/miss counters since construction.
+    /// The report table's tallies and sizes.
     #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
+    pub fn stats(&self) -> TableStats {
+        self.reports.stats()
     }
 
-    /// Number of *resident* memoized points (feasible and infeasible).
-    /// Under a budget this can shrink; for the deterministic
-    /// ever-memoized count use [`SynthCache::seen_points`].
-    #[must_use]
-    pub fn len(&self) -> usize {
-        crate::sync::lock_unpoisoned(&self.entries).len()
-    }
-
-    /// `true` when nothing is currently memoized.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of distinct synthesis points ever memoized — independent
-    /// of eviction (and worker count), so deterministic documents report
-    /// this rather than [`SynthCache::len`].
-    #[must_use]
-    pub fn seen_points(&self) -> usize {
-        crate::sync::lock_unpoisoned(&self.entries).seen_len()
-    }
-
-    /// Approximate resident bytes of the memo table.
+    /// Approximate resident bytes of the report table.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        crate::sync::lock_unpoisoned(&self.entries).resident_bytes()
-    }
-
-    /// Entries evicted from the memo table since construction.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        crate::sync::lock_unpoisoned(&self.entries).evictions()
+        self.stats().resident_bytes
     }
 }
 
@@ -485,8 +393,8 @@ mod tests {
         let first = synth(&cache, &dfg, Bounds::new(6, 4), &flow_spec, &*ours());
         let second = synth(&cache, &dfg, Bounds::new(6, 4), &flow_spec, &*ours());
         assert_eq!(first, second);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().lookups, CacheStats { hits: 1, misses: 1 });
+        assert_eq!(cache.stats().len, 1);
     }
 
     #[test]
@@ -504,7 +412,7 @@ mod tests {
                 &*combined,
             );
         }
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.stats().lookups.hits, 1);
     }
 
     #[test]
@@ -531,7 +439,7 @@ mod tests {
             &FlowSpec::default().with_victim("min-reliability-loss"),
             &*ours(),
         );
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 6 });
+        assert_eq!(cache.stats().lookups, CacheStats { hits: 0, misses: 6 });
     }
 
     #[test]
@@ -549,7 +457,7 @@ mod tests {
             );
             assert!(out.is_none());
         }
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(cache.stats().lookups, CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -571,8 +479,8 @@ mod tests {
         let second = cache.get_or_compute(key, tight, "ours", || run(tight));
         assert_ne!(first, second);
         assert_eq!(second.as_ref().map(|r| r.design.latency), Some(2));
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
-        assert_eq!(cache.len(), 1, "a collided request is not cached");
+        assert_eq!(cache.stats().lookups, CacheStats { hits: 0, misses: 2 });
+        assert_eq!(cache.stats().len, 1, "a collided request is not cached");
         // The original entry still answers its own request.
         let again = cache.get_or_compute(key, wide, "ours", || {
             unreachable!("must be served from the cache")
@@ -580,7 +488,7 @@ mod tests {
         assert_eq!(again, first);
         // A differing strategy token on the same key is a collision too.
         let other = cache.get_or_compute(key, wide, "pipelined@ii=2", || run(wide));
-        assert_eq!(cache.stats().misses, 3);
+        assert_eq!(cache.stats().lookups.misses, 3);
         assert!(other.is_some());
     }
 
@@ -605,15 +513,15 @@ mod tests {
         }
         // The unlimited session memoized; the budget-0 session kept
         // nothing resident but still counted the distinct point.
-        assert_eq!(unlimited.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(zero.stats(), CacheStats { hits: 0, misses: 2 });
-        assert_eq!(zero.len(), 0);
+        assert_eq!(unlimited.stats().lookups, CacheStats { hits: 1, misses: 1 });
+        assert_eq!(zero.stats().lookups, CacheStats { hits: 0, misses: 2 });
+        assert_eq!(zero.stats().len, 0);
         assert_eq!(zero.resident_bytes(), 0);
-        assert_eq!(zero.seen_points(), 1);
-        assert_eq!(zero.evictions(), 2);
+        assert_eq!(zero.stats().seen, 1);
+        assert_eq!(zero.stats().evictions, 2);
         assert!(unlimited.resident_bytes() > 0);
-        assert_eq!(unlimited.evictions(), 0);
-        assert_eq!(unlimited.seen_points(), 1);
+        assert_eq!(unlimited.stats().evictions, 0);
+        assert_eq!(unlimited.stats().seen, 1);
     }
 
     #[test]
@@ -627,17 +535,17 @@ mod tests {
         let poisoner = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let _guard = cache.entries.lock().unwrap();
+                    let _guard = cache.reports.table().lock().unwrap();
                     panic!("poison the cache lock");
                 })
                 .join()
         });
         assert!(poisoner.is_err());
-        assert!(cache.entries.is_poisoned());
+        assert!(cache.reports.table().is_poisoned());
         // The session keeps serving: the memoized entry still answers.
         let second = synth(&cache, &dfg, Bounds::new(6, 4), &flow_spec, &*ours());
         assert_eq!(first, second);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(cache.stats().lookups, CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -757,13 +665,13 @@ mod tests {
 
         let cold = session_over(&store);
         let first = synth(&cold, &dfg, bounds, &flow_spec, &*ours()).unwrap();
-        assert_eq!(cold.stats(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(cold.stats().lookups, CacheStats { hits: 0, misses: 1 });
 
         // A brand-new session over the same root answers from disk:
         // same design, same scrubbed diagnostics, no synthesis run.
         let warm = session_over(&store);
         let second = synth(&warm, &dfg, bounds, &flow_spec, &*ours()).unwrap();
-        assert_eq!(warm.stats(), CacheStats { hits: 1, misses: 0 });
+        assert_eq!(warm.stats().lookups, CacheStats { hits: 1, misses: 0 });
         assert_eq!(first.design, second.design);
         assert_eq!(first.diagnostics.scrubbed(), second.diagnostics);
         // The store keeps wall-time-scrubbed diagnostics, so store-served
@@ -772,10 +680,10 @@ mod tests {
         // The hit was promoted into the memory tier: the cumulative
         // point count matches a cold-computed session, and the next
         // lookup never touches disk.
-        assert_eq!(warm.seen_points(), 1);
+        assert_eq!(warm.stats().seen, 1);
         let third = synth(&warm, &dfg, bounds, &flow_spec, &*ours()).unwrap();
         assert_eq!(third, second);
-        assert_eq!(warm.stats(), CacheStats { hits: 2, misses: 0 });
+        assert_eq!(warm.stats().lookups, CacheStats { hits: 2, misses: 0 });
     }
 
     #[test]
@@ -789,7 +697,7 @@ mod tests {
         assert!(synth(&cold, &dfg, bounds, &flow_spec, &*ours()).is_none());
         let warm = session_over(&store);
         assert!(synth(&warm, &dfg, bounds, &flow_spec, &*ours()).is_none());
-        assert_eq!(warm.stats(), CacheStats { hits: 1, misses: 0 });
+        assert_eq!(warm.stats().lookups, CacheStats { hits: 1, misses: 0 });
     }
 
     #[test]
@@ -826,13 +734,13 @@ mod tests {
         // The warm session quarantines, recomputes, and matches.
         let warm = session_over(&store);
         let second = synth(&warm, &dfg, bounds, &flow_spec, &*ours()).unwrap();
-        assert_eq!(warm.stats(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(warm.stats().lookups, CacheStats { hits: 0, misses: 1 });
         assert_eq!(first.design, second.design);
         assert_eq!(store.stats().quarantined, 1);
         // The recompute wrote a clean entry back.
         let healed = session_over(&store);
         let third = synth(&healed, &dfg, bounds, &flow_spec, &*ours()).unwrap();
-        assert_eq!(healed.stats(), CacheStats { hits: 1, misses: 0 });
+        assert_eq!(healed.stats().lookups, CacheStats { hits: 1, misses: 0 });
         assert_eq!(second.design, third.design);
     }
 
@@ -850,7 +758,7 @@ mod tests {
         store.save(key.raw(), r#"{"era": "older-engine"}"#).unwrap();
         let cache = session_over(&store);
         assert!(synth(&cache, &dfg, bounds, &flow_spec, &*ours()).is_some());
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(cache.stats().lookups, CacheStats { hits: 0, misses: 1 });
         assert_eq!(store.stats().quarantined, 1);
     }
 
@@ -874,7 +782,7 @@ mod tests {
         let second = colliding.get_or_compute(key, tight, "ours", || run(tight));
         assert_ne!(first, second);
         assert_eq!(second.as_ref().map(|r| r.design.latency), Some(2));
-        assert_eq!(colliding.stats(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(colliding.stats().lookups, CacheStats { hits: 0, misses: 1 });
         // The original entry survived and still answers its own request.
         let again = session_over(&store).get_or_compute(key, wide, "ours", || {
             unreachable!("must be served from the store")

@@ -50,6 +50,7 @@ mod cache;
 mod executor;
 mod fingerprint;
 mod flight;
+mod memo;
 mod starts;
 pub mod store_tier;
 
@@ -58,6 +59,7 @@ use cache::KeyPrefix;
 pub use cache::{CacheKey, CacheStats, SynthCache};
 pub use executor::SweepExecutor;
 pub use fingerprint::{fingerprint, Fingerprint};
+pub use memo::TableStats;
 pub use starts::StartsCache;
 pub use store_tier::{Provenance, StoredEntry};
 
@@ -261,9 +263,9 @@ pub struct JobOutcome {
 /// budget*: outcomes are in job order, wall times are scrubbed, error
 /// strings are canonical, and the cache fields count distinct
 /// fingerprints ever interned — cumulative *sizes*, never hit/miss
-/// tallies (which racing workers skew) and never resident counts (which
-/// eviction order skews). (Hit rates and resident bytes live in the
-/// telemetry metrics registry, which makes no determinism promise.)
+/// tallies (which a budget's evictions skew) and never resident counts
+/// (which eviction order skews). (Hit rates and resident bytes live in
+/// the telemetry metrics registry, which makes no determinism promise.)
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchReport {
     /// Number of jobs submitted.
@@ -272,8 +274,7 @@ pub struct BatchReport {
     /// (cumulative; eviction never decrements it).
     pub memoized_points: usize,
     /// Distinct uniform start pools interned by the session's
-    /// [`StartsCache`] so far — the ROADMAP's unbounded-growth watch
-    /// number for long-running sessions.
+    /// [`StartsCache`] so far.
     pub starts_pools: usize,
     /// Distinct allocation-first designs interned by the session so far.
     pub alloc_designs: usize,
@@ -375,15 +376,23 @@ impl Engine {
     /// pooled scratch arenas — the number a budget bounds.
     #[must_use]
     pub fn resident_cache_bytes(&self) -> usize {
-        self.cache.resident_bytes()
-            + self.cache.starts_cache().resident_bytes()
+        self.tables()
+            .iter()
+            .map(|t| t.resident_bytes)
+            .sum::<usize>()
             + self.cache.scratch_pool().pooled_bytes()
     }
 
     /// Entries evicted across all cache layers since construction.
     #[must_use]
     pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions() + self.cache.starts_cache().evictions()
+        self.tables().iter().map(|t| t.evictions).sum()
+    }
+
+    /// The three memo tables: reports, start pools, alloc designs.
+    fn tables(&self) -> [TableStats; 3] {
+        let starts = self.cache.starts_cache();
+        [self.cache.stats(), starts.stats(), starts.alloc_stats()]
     }
 
     /// The session library.
@@ -401,7 +410,7 @@ impl Engine {
     /// Hit/miss counters of the session cache.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.cache.stats().lookups
     }
 
     /// Distinct synthesis points memoized so far — cumulative over the
@@ -409,33 +418,21 @@ impl Engine {
     /// worker count or cache budget.
     #[must_use]
     pub fn memoized_points(&self) -> usize {
-        self.cache.seen_points()
-    }
-
-    /// Hit/miss counters of the session's uniform start-pool cache.
-    #[must_use]
-    pub fn starts_cache_stats(&self) -> CacheStats {
-        self.cache.starts_cache().stats()
-    }
-
-    /// Hit/miss counters of the session's allocation-first design cache.
-    #[must_use]
-    pub fn alloc_cache_stats(&self) -> CacheStats {
-        self.cache.starts_cache().alloc_stats()
+        self.cache.stats().seen
     }
 
     /// Distinct uniform start pools interned so far (cumulative,
     /// eviction-independent).
     #[must_use]
     pub fn starts_pools(&self) -> usize {
-        self.cache.starts_cache().seen_len()
+        self.cache.starts_cache().stats().seen
     }
 
     /// Distinct allocation-first designs interned so far (cumulative,
     /// eviction-independent).
     #[must_use]
     pub fn alloc_designs(&self) -> usize {
-        self.cache.starts_cache().alloc_seen_len()
+        self.cache.starts_cache().alloc_stats().seen
     }
 
     /// Resolves a workload spec through the source registry, interning
@@ -507,34 +504,23 @@ impl Engine {
     /// exactly `k` graphs.
     #[must_use]
     pub fn synth_batch(&self, jobs: &[SynthJob]) -> Vec<Result<SynthReport, EngineError>> {
-        let resolved: Vec<(&SynthJob, Result<InternedWorkload, EngineError>)> = jobs
-            .iter()
-            .map(|job| (job, self.workload(&job.workload)))
-            .collect();
-        self.executor.run(&resolved, |(job, workload)| {
-            let workload = workload.as_ref().map_err(Clone::clone)?;
-            self.synth_resolved(job, workload)
-        })
+        self.resolve_and_run(jobs)
+            .into_iter()
+            .map(|(_, result)| result)
+            .collect()
     }
 
     /// Runs a batch and assembles the deterministic outcome document.
     #[must_use]
     pub fn run_batch(&self, jobs: &[SynthJob]) -> BatchReport {
-        let results = self.synth_batch(jobs);
         let outcomes = jobs
             .iter()
-            .zip(results)
-            .map(|(job, result)| {
-                // Echo the canonical spec (now interned) so randomized
-                // runs are reproducible from the outcome alone; fall
-                // back to the input spec when resolution failed.
-                let workload = match &result {
-                    Err(EngineError::Workload(_)) => job.workload.clone(),
-                    _ => self
-                        .workload(&job.workload)
-                        .map(|w| w.spec)
-                        .unwrap_or_else(|_| job.workload.clone()),
-                };
+            .zip(self.resolve_and_run(jobs))
+            .map(|(job, (workload, result))| {
+                // Echo the canonical spec so randomized runs are
+                // reproducible from the outcome alone; echo the input
+                // spec when resolution failed.
+                let workload = workload.map_or_else(|_| job.workload.clone(), |w| w.spec);
                 let (report, error) = match result {
                     Ok(report) => (
                         Some(SynthReport {
@@ -562,6 +548,31 @@ impl Engine {
             alloc_designs: self.alloc_designs(),
             outcomes,
         }
+    }
+
+    /// Resolves every job's workload on the calling thread, then runs the
+    /// jobs over the session executor. Returns each job's resolution
+    /// beside its result, in job order.
+    fn resolve_and_run(
+        &self,
+        jobs: &[SynthJob],
+    ) -> Vec<(
+        Result<InternedWorkload, EngineError>,
+        Result<SynthReport, EngineError>,
+    )> {
+        let resolved: Vec<(&SynthJob, Result<InternedWorkload, EngineError>)> = jobs
+            .iter()
+            .map(|job| (job, self.workload(&job.workload)))
+            .collect();
+        let results = self.executor.run(&resolved, |(job, workload)| {
+            let workload = workload.as_ref().map_err(Clone::clone)?;
+            self.synth_resolved(job, workload)
+        });
+        resolved
+            .into_iter()
+            .map(|(_, workload)| workload)
+            .zip(results)
+            .collect()
     }
 
     /// The cached synthesis of one job whose workload is already

@@ -31,20 +31,63 @@ macro_rules! histogram_handle {
     };
 }
 
-counter_handle!(
-    /// `synth_cache.hits` — memoized synthesis points answered from cache.
-    synth_cache_hits, "synth_cache.hits");
-counter_handle!(
-    /// `synth_cache.misses` — synthesis points computed fresh.
-    synth_cache_misses, "synth_cache.misses");
-counter_handle!(
-    /// `synth_cache.inserts` — entries added (with no budget this is the
-    /// resident size; under one, inserts minus evictions is).
-    synth_cache_inserts, "synth_cache.inserts");
-counter_handle!(
-    /// `synth_cache.evictions` — memoized reports dropped to stay under
-    /// the session cache budget.
-    synth_cache_evictions, "synth_cache.evictions");
+/// The metrics every memo table (see `engine::memo`) records, each
+/// named `<table>.<metric>`.
+pub(crate) struct TableMetrics {
+    /// `.hits` — requests answered from the table or from another
+    /// worker's computation of the same key.
+    pub(crate) hits: Arc<Counter>,
+    /// `.misses` — requests computed fresh.
+    pub(crate) misses: Arc<Counter>,
+    /// `.joined` — hits that waited on another worker's computation of
+    /// the same key (a joined allocation search is one the caller also
+    /// helped scan).
+    pub(crate) joined: Arc<Counter>,
+    /// `.inserts` — entries added (with no budget this is the resident
+    /// size; under one, inserts minus evictions is).
+    pub(crate) inserts: Arc<Counter>,
+    /// `.evictions` — entries dropped to stay under the session cache
+    /// budget.
+    pub(crate) evictions: Arc<Counter>,
+    /// `.resident_bytes` — approximate resident bytes, recorded after
+    /// every insert.
+    pub(crate) resident_bytes: Arc<Histogram>,
+}
+
+impl TableMetrics {
+    fn named(table: &str) -> TableMetrics {
+        let counter = |metric: &str| metrics::counter(&format!("{table}.{metric}"));
+        TableMetrics {
+            hits: counter("hits"),
+            misses: counter("misses"),
+            joined: counter("joined"),
+            inserts: counter("inserts"),
+            evictions: counter("evictions"),
+            resident_bytes: metrics::histogram(&format!("{table}.resident_bytes"), BYTE_BUCKETS),
+        }
+    }
+}
+
+macro_rules! table_handle {
+    ($(#[$doc:meta])* $fn_name:ident, $table:expr) => {
+        $(#[$doc])*
+        pub(crate) fn $fn_name() -> &'static TableMetrics {
+            static HANDLE: OnceLock<TableMetrics> = OnceLock::new();
+            HANDLE.get_or_init(|| TableMetrics::named($table))
+        }
+    };
+}
+
+table_handle!(
+    /// `synth_cache.*` — the synthesis-report table.
+    synth_cache, "synth_cache");
+table_handle!(
+    /// `starts_cache.*` — the uniform start-pool table.
+    starts_cache, "starts_cache");
+table_handle!(
+    /// `alloc_cache.*` — the allocation-first design table.
+    alloc_cache, "alloc_cache");
+
 counter_handle!(
     /// `synth_cache.key_prefixes` — `(DFG, library)` cache-key prefixes
     /// computed for reuse ([`crate::engine::KeyPrefix::new`]): one per
@@ -52,39 +95,9 @@ counter_handle!(
     /// keys (`CacheKey::for_point`) are not counted.
     synth_cache_key_prefixes, "synth_cache.key_prefixes");
 counter_handle!(
-    /// `starts_cache.evictions` — interned start pools dropped to stay
-    /// under the session cache budget.
-    starts_cache_evictions, "starts_cache.evictions");
-counter_handle!(
-    /// `alloc_cache.evictions` — interned allocation-first designs
-    /// dropped to stay under the session cache budget.
-    alloc_cache_evictions, "alloc_cache.evictions");
-counter_handle!(
     /// `scratch_pool.drops` — arenas released but not retained because
     /// pooling them would exceed the scratch byte budget.
     scratch_pool_drops, "scratch_pool.drops");
-counter_handle!(
-    /// `starts_cache.hits` — uniform start pools answered from cache.
-    starts_cache_hits, "starts_cache.hits");
-counter_handle!(
-    /// `starts_cache.misses` — uniform start pools computed fresh.
-    starts_cache_misses, "starts_cache.misses");
-counter_handle!(
-    /// `alloc_cache.hits` — allocation-first designs answered from cache.
-    alloc_cache_hits, "alloc_cache.hits");
-counter_handle!(
-    /// `alloc_cache.misses` — allocation-first designs computed fresh.
-    alloc_cache_misses, "alloc_cache.misses");
-counter_handle!(
-    /// `starts_cache.joined` — start-pool hits that waited on another
-    /// worker's in-flight computation of the same pool (also counted in
-    /// `starts_cache.hits`).
-    starts_cache_joined, "starts_cache.joined");
-counter_handle!(
-    /// `alloc_cache.joined` — allocation-design hits that joined, and
-    /// helped scan, another worker's in-flight search for the same key
-    /// (also counted in `alloc_cache.hits`).
-    alloc_cache_joined, "alloc_cache.joined");
 counter_handle!(
     /// `alloc_search.bound_pruned` — enumerated allocations the
     /// allocation search skipped without list-scheduling them: the
@@ -132,18 +145,6 @@ histogram_handle!(
 histogram_handle!(
     /// `phase.alloc_micros` — allocation-first search latency per run.
     alloc_phase_micros, "phase.alloc_micros", TIME_BUCKETS_MICROS);
-histogram_handle!(
-    /// `synth_cache.resident_bytes` — approximate resident bytes of the
-    /// memo table, recorded after every insert/eviction round.
-    synth_cache_resident_bytes, "synth_cache.resident_bytes", BYTE_BUCKETS);
-histogram_handle!(
-    /// `starts_cache.resident_bytes` — approximate resident bytes of the
-    /// start-pool table, recorded after every insert/eviction round.
-    starts_cache_resident_bytes, "starts_cache.resident_bytes", BYTE_BUCKETS);
-histogram_handle!(
-    /// `alloc_cache.resident_bytes` — approximate resident bytes of the
-    /// alloc-design table, recorded after every insert/eviction round.
-    alloc_cache_resident_bytes, "alloc_cache.resident_bytes", BYTE_BUCKETS);
 histogram_handle!(
     /// `executor.batch_jobs` — jobs per executor batch.
     executor_batch_jobs, "executor.batch_jobs", COUNT_BUCKETS);

@@ -9,9 +9,12 @@
 //!
 //! * identical deterministic tallies at `--jobs 1` and `--jobs 8` (cold
 //!   run all misses, warm re-run all hits), in a valid snapshot;
-//! * on `ours` + `combined` pairs that share their searches, identical
-//!   documents and start/alloc cache tallies at both worker counts, with
-//!   misses equal to the distinct keys computed;
+//! * on `ours` + `combined` pairs that share their searches, and on the
+//!   same jobs each listed twice, identical documents and cache tallies
+//!   at both worker counts, with misses equal to the distinct keys
+//!   computed;
+//! * four threads asking for one fresh report at once compute it once,
+//!   with one store read and one store write;
 //! * byte-identical batch documents with span sinks installed vs none;
 //! * a structurally valid Chrome trace whose sched/bind/refine spans
 //!   nest inside their enclosing `synth` span by timestamp containment.
@@ -20,6 +23,7 @@
 //! tests in this binary share one process — every test serializes on
 //! [`telemetry_lock`] so resets and sink installs can't interleave.
 
+use rchls_core::engine::CacheStats;
 use rchls_core::{Engine, SynthJob};
 use rchls_reslib::Library;
 use rchls_telemetry::{
@@ -27,7 +31,7 @@ use rchls_telemetry::{
     SpanSink,
 };
 use serde::Value;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 
 /// Serializes tests that touch the process-global telemetry state.
 /// Poisoning is ignored: a failed test must not cascade into the rest
@@ -61,10 +65,9 @@ impl Drop for SinkGuard {
     }
 }
 
-/// Distinct-fingerprint jobs: every spec appears exactly once, so cache
-/// tallies are deterministic at any worker count (no two workers can
-/// race the same key — a cold batch is all misses, a warm re-run all
-/// hits).
+/// Distinct-fingerprint jobs: every spec appears exactly once, so a cold
+/// batch is all misses and a warm re-run all hits, and no two identical
+/// allocation searches overlap.
 fn distinct_jobs() -> Vec<SynthJob> {
     let mut jobs: Vec<SynthJob> = (0..6u64)
         .map(|seed| SynthJob::new(format!("random:16x4@{seed}"), 8, 10))
@@ -74,12 +77,12 @@ fn distinct_jobs() -> Vec<SynthJob> {
     jobs
 }
 
-/// The deterministic counter subset: cache tallies and allocation-search
-/// counters over distinct-fingerprint jobs (each distinct search runs
-/// exactly once, whatever the worker count). Pool/executor counters are
-/// deliberately excluded — lends and queue depths legitimately vary with
-/// scheduling — and so are the `*.joined` tallies, which count how often
-/// two workers happened to overlap.
+/// The deterministic counter subset: cache tallies, which single-flight
+/// slots make independent of the worker count (misses are the distinct
+/// keys), and allocation-search counters over distinct-fingerprint jobs.
+/// Pool/executor counters are deliberately excluded — lends and queue
+/// depths legitimately vary with scheduling — and so are the `*.joined`
+/// tallies, which count how often two workers happened to overlap.
 ///
 /// The `alloc_search.*` counters are pinned only here, on jobs whose
 /// searches are all distinct: when two identical searches overlap, the
@@ -175,10 +178,12 @@ fn shared_point_jobs() -> Vec<SynthJob> {
         .collect()
 }
 
-/// Start and alloc cache tallies that single-flight slots make
-/// deterministic for any job set: a request that finds its key in flight
-/// joins it and counts as a hit.
+/// Cache tallies that single-flight slots make deterministic for any job
+/// set: a request that finds its key in flight joins it and counts as a
+/// hit.
 const SHARED_CACHE_COUNTERS: &[&str] = &[
+    "synth_cache.hits",
+    "synth_cache.misses",
     "starts_cache.hits",
     "starts_cache.misses",
     "alloc_cache.hits",
@@ -188,47 +193,87 @@ const SHARED_CACHE_COUNTERS: &[&str] = &[
 #[test]
 fn shared_searches_compute_once_at_any_worker_count() {
     let _lock = telemetry_lock();
-    let jobs = shared_point_jobs();
-    let mut documents = Vec::new();
-    let mut tallies: Vec<Vec<u64>> = Vec::new();
-    for workers in [1usize, 8] {
-        metrics::reset();
-        let engine = Engine::new(Library::table1()).with_jobs(workers);
-        let batch = engine.run_batch(&jobs);
-        documents.push(serde_json::to_string(&batch).expect("batch documents serialize"));
-        let alloc_misses = metrics::counter("alloc_cache.misses").get();
-        let starts_misses = metrics::counter("starts_cache.misses").get();
+    let shared = shared_point_jobs();
+    // Every job twice in a row: at `--jobs 8` the two copies usually run
+    // at once and ask for the same report.
+    let doubled: Vec<SynthJob> = shared
+        .iter()
+        .flat_map(|job| [job.clone(), job.clone()])
+        .collect();
+    for jobs in [shared, doubled] {
+        let mut documents = Vec::new();
+        let mut tallies: Vec<Vec<u64>> = Vec::new();
+        for workers in [1usize, 8] {
+            metrics::reset();
+            let engine = Engine::new(Library::table1()).with_jobs(workers);
+            let batch = engine.run_batch(&jobs);
+            documents.push(serde_json::to_string(&batch).expect("batch documents serialize"));
+            let misses = |table: &str| metrics::counter(&format!("{table}.misses")).get();
+            assert_eq!(
+                misses("synth_cache"),
+                engine.memoized_points() as u64,
+                "--jobs {workers}: one synthesis per distinct key"
+            );
+            assert_eq!(
+                misses("alloc_cache"),
+                engine.alloc_designs() as u64,
+                "--jobs {workers}: one alloc search per distinct key"
+            );
+            assert_eq!(
+                misses("starts_cache"),
+                engine.starts_pools() as u64,
+                "--jobs {workers}: one start pool per distinct key"
+            );
+            assert_eq!(engine.cache_stats().misses, misses("synth_cache"));
+            assert!(
+                metrics::counter("alloc_cache.hits").get() > 0,
+                "--jobs {workers}: combined reuses ours's search"
+            );
+            tallies.push(
+                SHARED_CACHE_COUNTERS
+                    .iter()
+                    .map(|name| metrics::counter(name).get())
+                    .collect(),
+            );
+        }
         assert_eq!(
-            alloc_misses,
-            engine.alloc_designs() as u64,
-            "--jobs {workers}: one alloc search per distinct key"
+            documents[0], documents[1],
+            "batch documents differ between --jobs 1 and --jobs 8"
         );
         assert_eq!(
-            starts_misses,
-            engine.starts_pools() as u64,
-            "--jobs {workers}: one start pool per distinct key"
-        );
-        assert_eq!(engine.alloc_cache_stats().misses, alloc_misses);
-        assert_eq!(engine.starts_cache_stats().misses, starts_misses);
-        assert!(
-            metrics::counter("alloc_cache.hits").get() > 0,
-            "--jobs {workers}: combined reuses ours's search"
-        );
-        tallies.push(
-            SHARED_CACHE_COUNTERS
-                .iter()
-                .map(|name| metrics::counter(name).get())
-                .collect(),
+            tallies[0], tallies[1],
+            "cache tallies diverged between --jobs 1 and --jobs 8"
         );
     }
-    assert_eq!(
-        documents[0], documents[1],
-        "batch documents differ between --jobs 1 and --jobs 8"
-    );
-    assert_eq!(
-        tallies[0], tallies[1],
-        "start/alloc cache tallies diverged between --jobs 1 and --jobs 8"
-    );
+}
+
+#[test]
+fn concurrent_identical_synths_compute_once() {
+    let _lock = telemetry_lock();
+    let root = std::env::temp_dir().join(format!("rchls-single-flight-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = Arc::new(rchls_store::ResultStore::open(&root).expect("temp store opens"));
+    let engine = Engine::new(Library::table1()).with_store(store);
+    let job = SynthJob::new("random:64x8@0", 14, 24);
+    let store_count = |name: &str| metrics::counter(&format!("store.{name}")).get();
+    let (misses, writes) = (store_count("misses"), store_count("writes"));
+    let barrier = Barrier::new(4);
+    let reports: Vec<_> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    engine.synth(&job).expect("the point is feasible")
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    assert!(reports.windows(2).all(|pair| pair[0] == pair[1]));
+    assert_eq!(engine.cache_stats(), CacheStats { hits: 3, misses: 1 });
+    assert_eq!(store_count("misses"), misses + 1, "one store read");
+    assert_eq!(store_count("writes"), writes + 1, "one store write");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -11,8 +11,6 @@
 //!   (schedule each op into its least-dense feasible partition, Sec. 6);
 //! * [`schedule_force_directed`] — Paulin–Knight force-directed scheduling,
 //!   used as an ablation alternative;
-//! * [`schedule_list`] — resource-constrained list scheduling, used by the
-//!   redundancy baseline;
 //! * [`Schedule`] — validated start times, latency, and per-step usage.
 //!
 //! Steps are 1-based to match the paper's figures: an operation starting at
@@ -47,7 +45,6 @@ mod delays;
 mod density;
 mod error;
 mod force;
-mod list;
 mod pipeline;
 pub mod reference;
 mod schedule;
@@ -59,7 +56,6 @@ pub use delays::Delays;
 pub use density::{schedule_density, schedule_density_with};
 pub use error::ScheduleError;
 pub use force::{schedule_force_directed, schedule_force_directed_with};
-pub use list::{schedule_list, schedule_list_with, ResourceLimits};
 pub use pipeline::schedule_modulo;
 pub use schedule::{Mobility, Schedule};
 pub use scratch::SchedScratch;

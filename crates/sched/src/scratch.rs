@@ -66,11 +66,6 @@ pub struct SchedScratch {
     // -- placement state -------------------------------------------------
     pub(crate) fixed: Vec<Option<u32>>,
     pub(crate) order: Vec<NodeId>,
-    // -- list-scheduling buffers -----------------------------------------
-    pub(crate) priority: Vec<u32>,
-    pub(crate) ready: Vec<NodeId>,
-    pub(crate) pending_preds: Vec<usize>,
-    pub(crate) starts_opt: Vec<Option<u32>>,
 }
 
 impl SchedScratch {
@@ -106,10 +101,6 @@ impl SchedScratch {
             + self.cand_step.capacity() * size_of::<u32>()
             + self.fixed.capacity() * size_of::<Option<u32>>()
             + self.order.capacity() * ids
-            + self.priority.capacity() * size_of::<u32>()
-            + self.ready.capacity() * ids
-            + self.pending_preds.capacity() * size_of::<usize>()
-            + self.starts_opt.capacity() * size_of::<Option<u32>>()
     }
 
     /// Makes sure the cached topological order matches `dfg`, recomputing

@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use rchls_dfg::{Dfg, NodeId, OpClass, OpKind};
 use rchls_sched::{
-    alap, asap, schedule_density, schedule_force_directed, schedule_list, Delays, Mobility,
-    ResourceLimits, Schedule,
+    alap, asap, schedule_density, schedule_force_directed, Delays, Mobility, Schedule,
 };
 
 /// Random DAG plus random per-node delays in 1..=3.
@@ -112,27 +111,5 @@ proptest! {
         let min = asap(&g, &d).unwrap().latency();
         let s = schedule_force_directed(&g, &d, min + extra).unwrap();
         check(&s, &g, &d, Some(min + extra));
-    }
-
-    #[test]
-    fn list_schedule_respects_budgets((g, raw) in random_case(), adders in 1u32..4, mults in 1u32..4) {
-        let d = mk_delays(&g, &raw);
-        let limits = ResourceLimits::new()
-            .with(OpClass::Adder, adders)
-            .with(OpClass::Multiplier, mults);
-        let s = schedule_list(&g, &d, &limits).unwrap();
-        check(&s, &g, &d, None);
-        prop_assert!(s.peak_usage(&g, &d, OpClass::Adder) <= adders);
-        prop_assert!(s.peak_usage(&g, &d, OpClass::Multiplier) <= mults);
-    }
-
-    #[test]
-    fn more_units_never_hurt_list_latency((g, raw) in random_case()) {
-        let d = mk_delays(&g, &raw);
-        let tight = ResourceLimits::new().with(OpClass::Adder, 1).with(OpClass::Multiplier, 1);
-        let loose = ResourceLimits::new().with(OpClass::Adder, 8).with(OpClass::Multiplier, 8);
-        let lt = schedule_list(&g, &d, &tight).unwrap().latency();
-        let ll = schedule_list(&g, &d, &loose).unwrap().latency();
-        prop_assert!(ll <= lt);
     }
 }
