@@ -58,6 +58,37 @@
 //!   from the kernel's own arrays; the `Schedule` and `Binding` are built
 //!   only for a candidate that beats the incumbent, placing each
 //!   operation on its version's lowest-index free unit.
+//! * **Run families.** One list-scheduling run answers every allocation
+//!   that would repeat it. During a run, each version block keeps its
+//!   *peak*, the most units any free-unit check found busy; the block
+//!   was *full* at some check exactly when its peak equals its count. An
+//!   allocation with the same versions, the same count on every full
+//!   block and more than the peak on every other block makes exactly
+//!   the same decisions, so it reaches the same outcome, reliability,
+//!   `Schedule` and `Binding`:
+//!   - a run is a deterministic function of its block list and of the
+//!     answers to its checks `busy == units`;
+//!   - the version set fixes the block list: block order, delays,
+//!     reliabilities, the per-class horizon and the most-reliable flags;
+//!   - by induction over the checks, the other allocation sees the same
+//!     `busy` at every check, and the count condition gives the same
+//!     answer each time, so a cut or a failure repeats;
+//!   - the design repeats too: an operation takes its version's
+//!     lowest-index free unit, whose index is at most the `busy` its
+//!     check saw. On a block never full that is at most the peak, below
+//!     the other allocation's count; on a full block the counts are
+//!     equal. Both designs bind the same instances, and unused units
+//!     are dropped.
+//!
+//!   The scan keeps its last `FAMILY_WINDOW` runs as such families and
+//!   looks a visited allocation up newest first, after the incumbent
+//!   prune and the ceiling skip. A matching cut or failed run is skipped
+//!   as the run itself would be, and a matching complete run below the
+//!   incumbent is skipped because only runs at or above it are offered.
+//!   A matching complete run at or above the incumbent is made again,
+//!   since its design and the ceiling test need the kernel's arrays;
+//!   it repeats a record, so it is not recorded again. Every record
+//!   comes from a real run, so every answer is exact at any window size.
 //!
 //! # The shared scan
 //!
@@ -71,7 +102,9 @@
 //!   a mutex, and its reliability is mirrored in an atomic for the prune
 //!   test, as is its index while it is a ceiling design;
 //! * a participant whose prune fires closes the cursor, and the search
-//!   returns once every participant has left.
+//!   returns once every participant has left;
+//! * each participant keeps its own run families in its scratch, so the
+//!   memo takes no locks and answers only from runs its owner made.
 //!
 //! [`best_allocation_design`] is this scan with one participant, so it
 //! schedules exactly the allocations it always did. The session's
@@ -102,12 +135,16 @@
 //! A participant that unwinds mid-chunk may leave positions unscanned;
 //! the leader then scans the whole order once more before it returns.
 //!
-//! The search records three always-on counters per run:
-//! `alloc_search.bound_pruned`, `alloc_search.scheduled` and
-//! `alloc_search.early_exits`. A helper can schedule an allocation that a
+//! The search records four always-on counters per run:
+//! `alloc_search.scheduled` (list-scheduling runs made),
+//! `alloc_search.early_exits` (those runs cut short),
+//! `alloc_search.family_hits` (allocations a family record answered) and
+//! `alloc_search.bound_pruned` (the rest of the lattice, which the bound
+//! kept out of the scan). A helper can schedule an allocation that a
 //! lone scan would have pruned — an incumbent found in another chunk
-//! reaches it too late — so the counters repeat exactly only when no two
-//! identical searches overlap.
+//! reaches it too late — or answered from a record it does not hold, so
+//! the counters repeat exactly only when no two identical searches
+//! overlap.
 
 use crate::bounds::Bounds;
 use crate::flow::Diagnostics;
@@ -318,6 +355,9 @@ struct Block {
     /// How many of the block's releases have passed: its busy units are
     /// the ones behind `releases[block][released..]`.
     released: usize,
+    /// The most units any free-unit check of the run found busy. The
+    /// block was full at some check exactly when this equals `units`.
+    peak: usize,
 }
 
 /// How one list-scheduling run ended.
@@ -370,6 +410,8 @@ struct AllocScratch {
     pending_preds: Vec<u32>,
     max_pred_finish: Vec<u32>,
     events: Vec<Vec<NodeId>>,
+    /// The search's recent runs, kept by the scan.
+    families: Families,
 }
 
 impl AllocScratch {
@@ -432,6 +474,7 @@ impl AllocScratch {
                 first: units,
                 units: count as usize,
                 released: 0,
+                peak: 0,
             });
             units += count as usize;
             self.horizon[class] = self.horizon[class].min(ver.delay());
@@ -460,6 +503,8 @@ impl AllocScratch {
     /// when it becomes ready, or when it waits. (The reference's "doomed"
     /// branch, which starts such an operation on the fastest free unit,
     /// is one of these cases.)
+    ///
+    /// Each block keeps its `peak` for the run's family record.
     fn list(&mut self, dfg: &Dfg, latency_bound: u32) -> Listing {
         let AllocScratch {
             node_class,
@@ -486,6 +531,7 @@ impl AllocScratch {
         let nodes = dfg.node_count();
         for (block, queue) in blocks.iter_mut().zip(releases.iter_mut()) {
             block.released = 0;
+            block.peak = 0;
             queue.clear();
         }
         start.clear();
@@ -528,8 +574,10 @@ impl AllocScratch {
                     while block.released < queue.len() && queue[block.released] <= step {
                         block.released += 1;
                     }
-                    if queue.len() - block.released == block.units {
-                        continue; // every unit busy
+                    let busy = queue.len() - block.released;
+                    block.peak = block.peak.max(busy);
+                    if busy == block.units {
+                        continue;
                     }
                     let better = pick.is_none_or(|(_, reliability, delay)| {
                         reliability
@@ -580,6 +628,18 @@ impl AllocScratch {
         } else {
             Listing::Failed
         }
+    }
+
+    /// Lists the loaded allocation: how the run ended, with a complete
+    /// run's reliability (−∞ otherwise). This is the answer a family
+    /// record keeps.
+    fn run(&mut self, dfg: &Dfg, library: &Library, latency_bound: u32) -> (Listing, f64) {
+        let listing = self.list(dfg, latency_bound);
+        let rel = match listing {
+            Listing::Complete => self.reliability(library),
+            Listing::Cut | Listing::Failed => f64::NEG_INFINITY,
+        };
+        (listing, rel)
     }
 
     /// The version block node `n` runs on after a complete run.
@@ -645,6 +705,77 @@ impl AllocScratch {
     }
 }
 
+/// Runs one participant remembers: the window a family lookup searches.
+const FAMILY_WINDOW: usize = 64;
+
+/// One participant's most recent list-scheduling runs, each kept as the
+/// family of allocations that would repeat it (see "Run families" in the
+/// module docs): per version, the range of unit counts that answers every
+/// free-unit check of the run the same way.
+#[derive(Debug, Default)]
+struct Families {
+    /// Versions per record: the lattice's version count.
+    width: usize,
+    /// `width` inclusive `(lowest, highest)` count ranges per record,
+    /// record `r` at `r * width`. An absent version's range is `(0, 0)`,
+    /// so a record also fixes the version set.
+    ranges: Vec<(u32, u32)>,
+    /// Per record, how the run ended and, if it completed, its
+    /// reliability (−∞ otherwise).
+    answers: Vec<(Listing, f64)>,
+    /// The record the next run overwrites once the window is full.
+    next: usize,
+}
+
+impl Families {
+    /// The newest record whose family holds the allocation `row`.
+    fn find(&self, row: &[u32]) -> Option<usize> {
+        let width = self.width;
+        (0..self.next)
+            .rev()
+            .chain((self.next..self.answers.len()).rev())
+            .find(|&r| {
+                self.ranges[r * width..(r + 1) * width]
+                    .iter()
+                    .zip(row)
+                    .all(|(&(lowest, highest), &count)| lowest <= count && count <= highest)
+            })
+    }
+
+    /// Records the run just made on the allocation `row`, laid out as
+    /// `blocks`, in place of the oldest record once the window is full.
+    fn record(&mut self, row: &[u32], blocks: &[Block], answer: (Listing, f64)) {
+        if self.answers.is_empty() {
+            self.width = row.len();
+            self.ranges.reserve_exact(FAMILY_WINDOW * self.width);
+            self.answers.reserve_exact(FAMILY_WINDOW);
+        }
+        let mut blocks = blocks.iter();
+        let ranges = row.iter().map(|&count| {
+            if count == 0 {
+                return (0, 0);
+            }
+            let block = blocks.next().expect("one block per allocated version");
+            if block.peak == block.units {
+                (count, count)
+            } else {
+                (block.peak as u32 + 1, u32::MAX)
+            }
+        });
+        if self.answers.len() < FAMILY_WINDOW {
+            self.ranges.extend(ranges);
+            self.answers.push(answer);
+        } else {
+            let slot = self.next * self.width;
+            for (kept, range) in self.ranges[slot..slot + self.width].iter_mut().zip(ranges) {
+                *kept = range;
+            }
+            self.answers[self.next] = answer;
+        }
+        self.next = (self.next + 1) % FAMILY_WINDOW;
+    }
+}
+
 /// Version-aware list scheduling against a fixed allocation.
 ///
 /// Ready operations are started in priority order (longest remaining path
@@ -702,6 +833,10 @@ type Design = (Assignment, Schedule, Binding);
 ///   Visits are bound-ordered, so the first such allocation ends the scan.
 /// * *Ceiling prune* — once the incumbent gives every node its class's
 ///   most reliable version, no later-enumerated allocation can beat it.
+///
+/// An allocation that would repeat a recent list-scheduling run is
+/// answered from that run's record (see "Run families" in the module
+/// docs).
 pub fn best_allocation_design(dfg: &Dfg, library: &Library, bounds: Bounds) -> Option<Design> {
     let mut diagnostics = Diagnostics::default();
     best_allocation_design_diag(dfg, library, bounds, &mut diagnostics)
@@ -750,12 +885,13 @@ pub(crate) fn best_allocation_design_shared(
 /// Positions of the bound-sorted order a participant takes at a time.
 const CHUNK: usize = 64;
 
-/// Allocations one participant list-scheduled, and how many of those
-/// runs were cut short.
+/// Allocations one participant list-scheduled, how many of those runs
+/// were cut short, and how many allocations a family record answered.
 #[derive(Debug, Default)]
 struct Tally {
     scheduled: u64,
     cut: u64,
+    family_hits: u64,
 }
 
 /// Who is scanning a search right now, and whether anyone unwound.
@@ -811,6 +947,7 @@ pub(crate) struct AllocSearch {
     left: Condvar,
     scheduled: AtomicU64,
     cut: AtomicU64,
+    family_hits: AtomicU64,
 }
 
 impl AllocSearch {
@@ -855,6 +992,7 @@ impl AllocSearch {
             left: Condvar::new(),
             scheduled: AtomicU64::new(0),
             cut: AtomicU64::new(0),
+            family_hits: AtomicU64::new(0),
         };
         Some((search, scratch))
     }
@@ -882,8 +1020,15 @@ impl AllocSearch {
                 break;
             }
         }
+        self.settle(&tally);
+    }
+
+    /// Adds a participant's tally to the search's counts.
+    fn settle(&self, tally: &Tally) {
         self.scheduled.fetch_add(tally.scheduled, Ordering::Relaxed);
         self.cut.fetch_add(tally.cut, Ordering::Relaxed);
+        self.family_hits
+            .fetch_add(tally.family_hits, Ordering::Relaxed);
     }
 
     /// The next chunk of positions nobody has taken, if any.
@@ -910,9 +1055,29 @@ impl AllocSearch {
             if idx > self.ceiling.load(Ordering::Relaxed) {
                 continue;
             }
+            let row = self.lattice.row(idx);
+            let family = scratch.families.find(row);
+            if let Some(record) = family {
+                // The run would repeat a recorded one. A complete run
+                // that could still become the incumbent is made again:
+                // its design is built from the kernel's arrays.
+                let (listing, rel) = scratch.families.answers[record];
+                if listing != Listing::Complete
+                    || rel < f64::from_bits(self.best_rel.load(Ordering::Relaxed))
+                {
+                    tally.family_hits += 1;
+                    continue;
+                }
+            }
             tally.scheduled += 1;
             scratch.load(library, self.lattice.allocation(idx));
-            match scratch.list(dfg, self.bounds.latency) {
+            let (listing, rel) = scratch.run(dfg, library, self.bounds.latency);
+            if family.is_none() {
+                scratch
+                    .families
+                    .record(row, &scratch.blocks, (listing, rel));
+            }
+            match listing {
                 Listing::Complete => {}
                 Listing::Cut => {
                     tally.cut += 1;
@@ -920,7 +1085,6 @@ impl AllocSearch {
                 }
                 Listing::Failed => continue,
             }
-            let rel = scratch.reliability(library);
             if rel >= f64::from_bits(self.best_rel.load(Ordering::Relaxed)) {
                 self.offer(rel, idx, dfg, library, scratch);
             }
@@ -972,13 +1136,14 @@ impl AllocSearch {
         if panicked {
             let mut tally = Tally::default();
             self.scan_range(0..self.order.len(), dfg, library, scratch, &mut tally);
-            self.scheduled.fetch_add(tally.scheduled, Ordering::Relaxed);
-            self.cut.fetch_add(tally.cut, Ordering::Relaxed);
+            self.settle(&tally);
         }
         let scheduled = self.scheduled.load(Ordering::Relaxed);
+        let family_hits = self.family_hits.load(Ordering::Relaxed);
         crate::obs::alloc_search_bound_pruned()
-            .add((self.lattice.rows as u64).saturating_sub(scheduled));
+            .add((self.lattice.rows as u64).saturating_sub(scheduled + family_hits));
         crate::obs::alloc_search_scheduled().add(scheduled);
+        crate::obs::alloc_search_family_hits().add(family_hits);
         crate::obs::alloc_search_early_exits().add(self.cut.load(Ordering::Relaxed));
         crate::sync::lock_unpoisoned(&self.best)
             .take()
@@ -1227,6 +1392,83 @@ mod tests {
                 schedule_on_allocation(&dfg, &lib, &allocation, bounds.latency),
                 schedule_on_allocation_reference(&dfg, &lib, &allocation, bounds.latency)
             );
+        }
+    }
+
+    #[test]
+    fn a_family_record_answers_exactly_what_the_kernel_would() {
+        let lib = Library::table1();
+        let mut answered = 0;
+        for (spec, dfg, bounds) in kernel_corpus() {
+            let (search, mut scratch) = AllocSearch::prepare(&dfg, &lib, bounds).unwrap();
+            // The design of the run behind each record, by record slot.
+            let mut designs: Vec<Option<Design>> = vec![None; FAMILY_WINDOW];
+            for &(_, idx) in &search.order {
+                let row = search.lattice.row(idx);
+                let family = scratch.families.find(row);
+                scratch.load(&lib, search.lattice.allocation(idx));
+                let (listing, rel) = scratch.run(&dfg, &lib, bounds.latency);
+                let design = match listing {
+                    Listing::Complete => scratch.design(&dfg, &lib),
+                    Listing::Cut | Listing::Failed => None,
+                };
+                let Some(record) = family else {
+                    designs[scratch.families.next] = design;
+                    scratch
+                        .families
+                        .record(row, &scratch.blocks, (listing, rel));
+                    continue;
+                };
+                answered += 1;
+                let (recorded, recorded_rel) = scratch.families.answers[record];
+                let at = format!("{spec} at {bounds} on {row:?}");
+                assert_eq!(listing, recorded, "{at}");
+                assert_eq!(rel.to_bits(), recorded_rel.to_bits(), "{at}");
+                assert_eq!(design, designs[record], "{at}");
+            }
+        }
+        assert!(answered > 1000, "only {answered} allocations answered");
+    }
+
+    #[test]
+    fn a_family_refuses_a_count_that_could_change_a_check() {
+        let lib = Library::table1();
+        // A run with a block found full, of two units or more, and a block
+        // found busy but never full.
+        let (row, blocks, answer) = kernel_corpus()
+            .into_iter()
+            .find_map(|(_, dfg, bounds)| {
+                let mut scratch = AllocScratch::default();
+                assert!(scratch.prepare(&dfg, &lib));
+                let lattice = Lattice::enumerate(&dfg, &lib, bounds.area);
+                (0..lattice.rows).find_map(|idx| {
+                    scratch.load(&lib, lattice.allocation(idx));
+                    let answer = scratch.run(&dfg, &lib, bounds.latency);
+                    let blocks = &scratch.blocks;
+                    let full = blocks.iter().any(|b| b.peak == b.units && b.units > 1);
+                    let busy = blocks.iter().any(|b| 0 < b.peak && b.peak < b.units);
+                    (full && busy).then(|| (lattice.row(idx).to_vec(), blocks.clone(), answer))
+                })
+            })
+            .expect("the corpus has such a run");
+        let mut families = Families::default();
+        families.record(&row, &blocks, answer);
+        assert_eq!(families.find(&row), Some(0));
+        let versions = row.iter().enumerate().filter(|&(_, &count)| count > 0);
+        for (block, (v, &count)) in blocks.iter().zip(versions) {
+            let with = |units: usize| {
+                let mut other = row.clone();
+                other[v] = units as u32;
+                families.find(&other)
+            };
+            if block.peak == block.units {
+                assert_eq!(with(block.units + 1), None, "one more unit of a full block");
+                assert_eq!(with(block.units - 1), None, "one less unit of a full block");
+            } else {
+                assert_eq!(with(block.peak), None, "a block at its peak");
+                assert_eq!(with(block.peak + 1), Some(0));
+                assert_eq!(with(count as usize + 1), Some(0));
+            }
         }
     }
 

@@ -73,7 +73,7 @@ use rchls_workloads::WorkloadError;
 use serde::{map_get, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// An engine-level failure for one job.
 ///
@@ -303,7 +303,11 @@ pub struct InternedWorkload {
 #[derive(Debug)]
 pub struct Engine {
     library: Arc<Library>,
-    executor: SweepExecutor,
+    /// The requested worker count; `0` means one worker per CPU.
+    jobs: usize,
+    /// The executor for `jobs`, built the first time a count is needed,
+    /// so a caller that sets the count never reads the CPU count.
+    executor: OnceLock<SweepExecutor>,
     cache: SynthCache,
     budget: CacheBudget,
     workloads: RwLock<HashMap<String, InternedWorkload>>,
@@ -315,7 +319,8 @@ impl Engine {
     pub fn new(library: Library) -> Engine {
         Engine {
             library: Arc::new(library),
-            executor: SweepExecutor::default(),
+            jobs: 0,
+            executor: OnceLock::new(),
             cache: SynthCache::new(),
             budget: CacheBudget::UNLIMITED,
             workloads: RwLock::new(HashMap::new()),
@@ -326,7 +331,8 @@ impl Engine {
     /// worker count never changes results, only wall time.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Engine {
-        self.executor = SweepExecutor::new(jobs);
+        self.jobs = jobs;
+        self.executor = OnceLock::new();
         self
     }
 
@@ -404,7 +410,12 @@ impl Engine {
     /// The batch worker count.
     #[must_use]
     pub fn jobs(&self) -> usize {
-        self.executor.jobs()
+        self.executor().jobs()
+    }
+
+    /// The session executor, resolving `0` on first use.
+    fn executor(&self) -> &SweepExecutor {
+        self.executor.get_or_init(|| SweepExecutor::new(self.jobs))
     }
 
     /// Hit/miss counters of the session cache.
@@ -564,7 +575,7 @@ impl Engine {
             .iter()
             .map(|job| (job, self.workload(&job.workload)))
             .collect();
-        let results = self.executor.run(&resolved, |(job, workload)| {
+        let results = self.executor().run(&resolved, |(job, workload)| {
             let workload = workload.as_ref().map_err(Clone::clone)?;
             self.synth_resolved(job, workload)
         });
@@ -676,6 +687,12 @@ mod tests {
             assert_eq!(out.outcomes, reference, "workers = {workers}");
             assert_eq!(out.jobs, jobs.len());
         }
+    }
+
+    #[test]
+    fn worker_count_resolves_as_the_executor_does() {
+        assert_eq!(engine().jobs(), SweepExecutor::new(0).jobs());
+        assert_eq!(engine().with_jobs(3).jobs(), 3);
     }
 
     #[test]

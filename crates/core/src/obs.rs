@@ -100,14 +100,19 @@ counter_handle!(
     scratch_pool_drops, "scratch_pool.drops");
 counter_handle!(
     /// `alloc_search.bound_pruned` — enumerated allocations the
-    /// allocation search skipped without list-scheduling them: the
-    /// slack-aware bound proved them infeasible or unable to beat the
-    /// incumbent.
+    /// allocation search neither list-scheduled nor answered from a run
+    /// family: the slack-aware bound proved them infeasible or unable to
+    /// beat the incumbent.
     alloc_search_bound_pruned, "alloc_search.bound_pruned");
 counter_handle!(
     /// `alloc_search.scheduled` — allocations the allocation search
     /// list-scheduled.
     alloc_search_scheduled, "alloc_search.scheduled");
+counter_handle!(
+    /// `alloc_search.family_hits` — allocations the allocation search
+    /// answered from the record of an earlier run they would repeat,
+    /// without list-scheduling them.
+    alloc_search_family_hits, "alloc_search.family_hits");
 counter_handle!(
     /// `alloc_search.early_exits` — list-scheduled allocations abandoned
     /// by an exact early exit (the run could no longer meet the latency

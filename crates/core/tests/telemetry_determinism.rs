@@ -88,8 +88,9 @@ fn distinct_jobs() -> Vec<SynthJob> {
 /// searches are all distinct: when two identical searches overlap, the
 /// second helps scan the first, and a helper can schedule an allocation
 /// that a lone scan would have pruned (the incumbent that rules it out is
-/// found in another chunk too late). The answer is the same; the counts
-/// of work done are not.
+/// found in another chunk too late), or one that a lone scan's run-family
+/// record would have answered (each participant remembers only its own
+/// runs). The answer is the same; the counts of work done are not.
 const DETERMINISTIC_COUNTERS: &[&str] = &[
     "synth_cache.hits",
     "synth_cache.misses",
@@ -101,6 +102,7 @@ const DETERMINISTIC_COUNTERS: &[&str] = &[
     "alloc_search.bound_pruned",
     "alloc_search.scheduled",
     "alloc_search.early_exits",
+    "alloc_search.family_hits",
     "synth_cache.key_prefixes",
 ];
 
@@ -151,10 +153,11 @@ fn deterministic_counters_match_across_worker_counts() {
     assert_eq!(get("synth_cache.key_prefixes"), jobs.len() as u64);
     assert!(get("starts_cache.misses") > 0, "starts cache saw the batch");
     // The allocation searches ran and explain themselves: some
-    // allocations were list-scheduled, some cut short, many never
-    // scheduled at all.
+    // allocations were list-scheduled, some cut short, some answered by
+    // an earlier run they would repeat, many never scheduled at all.
     assert!(get("alloc_search.scheduled") > 0, "alloc search scheduled");
     assert!(get("alloc_search.early_exits") > 0, "alloc search cut runs");
+    assert!(get("alloc_search.family_hits") > 0, "alloc search families");
     assert!(get("alloc_search.bound_pruned") > 0, "alloc search pruned");
 }
 
