@@ -409,3 +409,34 @@ fn an_interval_past_the_latency_bound_runs_at_the_bound() {
     // An unclamped 4e9-slot residue table would abort on allocation.
     assert_eq!(run("4000000000"), run("8"));
 }
+
+#[test]
+fn latency_bounds_past_the_limit_fail_with_one_message() {
+    let message = "error: latency bound 4000000000 exceeds the limit of 65536 control steps\n";
+    let synth = rchls(&[
+        "synth",
+        "--workload",
+        "builtin:diffeq",
+        "--latency",
+        "4000000000",
+        "--area",
+        "11",
+    ]);
+    assert!(!synth.status.success());
+    let stderr = String::from_utf8_lossy(&synth.stderr);
+    assert!(stderr.starts_with(message), "{stderr}");
+    // A sweep holding such a bound is rejected before any synthesis.
+    let sweep = rchls(&[
+        "sweep",
+        "--workload",
+        "builtin:diffeq",
+        "--latencies",
+        "5,4000000000",
+        "--areas",
+        "7",
+    ]);
+    assert!(!sweep.status.success());
+    assert!(sweep.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&sweep.stderr);
+    assert!(stderr.starts_with(message), "{stderr}");
+}

@@ -3,6 +3,19 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The largest latency bound an [`Engine`](crate::Engine) job or sweep
+/// may ask for, in control steps.
+///
+/// The scheduling and binding kernels size per-step tables by the
+/// latency bound (the density and force-directed profiles, the pipelined
+/// occupancy profile, the left-edge counts), and an allocation that
+/// fails aborts the process rather than returning an error. At this
+/// limit the largest of them, one `f64` per step, stays at 512 KiB. The
+/// engine rejects a larger bound with
+/// [`EngineError::LatencyLimit`](crate::EngineError::LatencyLimit)
+/// before any synthesis.
+pub const MAX_LATENCY: u32 = 65_536;
+
 /// The latency and area bounds a design must meet (`Ld` and `Ad` in the
 /// paper).
 ///

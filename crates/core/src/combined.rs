@@ -5,35 +5,31 @@
 use crate::error::SynthesisError;
 use crate::flow::{SynthReport, SynthRequest};
 use crate::redundancy::add_redundancy_with_model;
-use crate::synth::Synthesizer;
 
-/// The body of the `"combined"` strategy ([`Combined`]): the
-/// reliability-centric run plus leftover-area redundancy, in a portfolio
-/// with the baseline. Inherits whatever session state (scratch pool,
-/// starts cache) the request carries.
+/// The body of the `"combined"` strategy ([`Combined`]): its `ours` part
+/// plus leftover-area redundancy, in a portfolio with its `baseline`
+/// part. Both parts come from [`SynthRequest::part`], so under an engine
+/// they are session memo reads.
 ///
 /// # Errors
 ///
-/// Returns the reliability-centric branch's error when neither branch
-/// finds a feasible design.
+/// Returns the `ours` part's error when neither branch finds a feasible
+/// design.
 ///
 /// [`Combined`]: crate::flow::Combined
 pub(crate) fn combined_report(request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
-    let (dfg, library, bounds, model) = (
-        request.dfg,
-        request.library,
-        request.bounds,
-        request.redundancy,
-    );
     let span = rchls_telemetry::span!(timed: "strategy.combined");
-    let ours = Synthesizer::for_request(request)?
-        .synthesize_report(bounds)
-        .map(|mut report| {
-            report.diagnostics.redundancy_moves +=
-                add_redundancy_with_model(&mut report.design, dfg, library, bounds.area, model);
-            report
-        });
-    let baseline = crate::baseline::nmr_baseline_report(request);
+    let ours = request.part("ours").map(|mut report| {
+        report.diagnostics.redundancy_moves += add_redundancy_with_model(
+            &mut report.design,
+            request.dfg,
+            request.library,
+            request.bounds.area,
+            request.redundancy,
+        );
+        report
+    });
+    let baseline = request.part("baseline");
     let mut report = match (ours, baseline) {
         (Ok(a), Ok(b)) => {
             if a.design.reliability.value() >= b.design.reliability.value() {
@@ -60,6 +56,7 @@ mod tests {
     use crate::bounds::Bounds;
     use crate::design::Design;
     use crate::flow;
+    use crate::synth::Synthesizer;
     use rchls_dfg::{Dfg, DfgBuilder, OpKind};
     use rchls_reslib::Library;
 

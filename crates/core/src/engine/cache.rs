@@ -131,6 +131,31 @@ impl CacheStats {
     }
 }
 
+/// How a composite strategy's request reads its parts under an engine:
+/// through the session report memo, each under the part's own key at the
+/// composite job's point (see [`SynthRequest::part`]).
+///
+/// Single-flight slots are then taken in one order only: a composite's
+/// report slot, then its parts' report slots, then start-pool and alloc
+/// slots (the `memo` module docs give the argument).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PartReader<'a> {
+    cache: &'a SynthCache,
+    workload: &'a InternedWorkload,
+    library: &'a Library,
+    /// The composite's job: its bounds, flow and model, not its strategy.
+    job: &'a SynthJob,
+}
+
+impl PartReader<'_> {
+    /// The memoized report of `part` at the job's point; `None` when it
+    /// is infeasible.
+    pub(crate) fn read(&self, part: &dyn Strategy) -> Option<SynthReport> {
+        self.cache
+            .synthesize_with_workload(self.workload, self.library, self.job, part)
+    }
+}
+
 /// The request facts a report is computed for: its bounds and strategy
 /// token. They are cheap to compare, so a 64-bit fingerprint collision
 /// between two requests is detected instead of answered with the wrong
@@ -203,6 +228,12 @@ impl SynthCache {
     /// canonical spec rides into on-disk store entries as re-synthesis
     /// provenance (`rchls store verify`); it never affects the cache key
     /// or the result.
+    ///
+    /// A miss on a composite strategy (see [`Strategy::parts`]) runs it
+    /// on a request that reads its parts ([`SynthRequest::part`]) back
+    /// through this cache, each under the part's own key. A part is never
+    /// a composite, so its own request reads no parts, and a hit runs no
+    /// strategy at all.
     pub(crate) fn synthesize_with_workload(
         &self,
         workload: &InternedWorkload,
@@ -226,13 +257,21 @@ impl SynthCache {
             })
         };
         self.get_or_compute_with(key, bounds, &token, provenance, || {
-            strategy.run(
-                &SynthRequest::new(dfg, library, bounds)
-                    .with_flow(flow.clone())
-                    .with_redundancy(model)
-                    .with_scratch_pool(&self.scratch)
-                    .with_starts_cache(&self.starts),
-            )
+            let request = SynthRequest::new(dfg, library, bounds)
+                .with_flow(flow.clone())
+                .with_redundancy(model)
+                .with_scratch_pool(&self.scratch)
+                .with_starts_cache(&self.starts);
+            if strategy.parts().is_empty() {
+                return strategy.run(&request);
+            }
+            let reader = PartReader {
+                cache: self,
+                workload,
+                library,
+                job,
+            };
+            strategy.run(&request.with_part_reader(reader))
         })
     }
 
@@ -439,7 +478,10 @@ mod tests {
             &FlowSpec::default().with_victim("min-reliability-loss"),
             &*ours(),
         );
-        assert_eq!(cache.stats().lookups, CacheStats { hits: 0, misses: 6 });
+        // `combined` read its `ours` and `baseline` parts from the two
+        // entries before it, which count as hits.
+        assert_eq!(cache.stats().lookups, CacheStats { hits: 2, misses: 6 });
+        assert_eq!(cache.stats().len, 6);
     }
 
     #[test]

@@ -21,12 +21,24 @@
 //! it is computed fresh instead of answered wrongly. A fill error is never
 //! cached either: it abandons the slot, and a joiner re-leads.
 //!
-//! Slots nest in one order only. A report's fill runs a strategy, which
-//! may claim start-pool and alloc-design slots; no strategy calls the
-//! report cache, and start-pool and alloc-design fills claim no slot. So
-//! report slots are always taken before start-pool and alloc slots, never
-//! after, no leader waits on a slot whose leader waits on it, and nested
-//! single-flight cannot deadlock.
+//! Slots nest in one order only: a composite's report slot, then its
+//! parts' report slots, then start-pool and alloc-design slots. A
+//! report's fill runs a strategy. A composite strategy reads its parts
+//! back through the report table (`SynthRequest::part`), each under the
+//! part's own key, and any strategy may claim start-pool and alloc-design
+//! slots, whose fills claim no slot. So nested single-flight cannot
+//! deadlock:
+//!
+//! * A part is never a composite, so its fill reads no parts: it claims
+//!   no report slot, only start-pool and alloc slots.
+//! * A thread waiting on a part's slot holds only its composite's slot,
+//!   and one waiting on a start-pool or alloc slot holds report slots
+//!   only.
+//! * No part's leader ever waits on a composite's slot, and no start-pool
+//!   or alloc leader waits on any slot.
+//!
+//! Every wait therefore points from a slot to one strictly later in the
+//! order, the wait-for graph has no cycle, and every leader finishes.
 //!
 //! Values sit behind an [`Arc`], so a hit or a join copies a pointer. A
 //! miss copies its value once, into the table.

@@ -56,6 +56,7 @@ pub mod store_tier;
 
 pub use budget::CacheBudget;
 use cache::KeyPrefix;
+pub(crate) use cache::PartReader;
 pub use cache::{CacheKey, CacheStats, SynthCache};
 pub use executor::SweepExecutor;
 pub use fingerprint::{fingerprint, Fingerprint};
@@ -63,9 +64,9 @@ pub use memo::TableStats;
 pub use starts::StartsCache;
 pub use store_tier::{Provenance, StoredEntry};
 
-use crate::bounds::Bounds;
+use crate::bounds::{Bounds, MAX_LATENCY};
 use crate::error::SynthesisError;
-use crate::flow::{self, FlowSpec, SynthReport};
+use crate::flow::{self, FlowSpec, Strategy, SynthReport};
 use crate::redundancy::RedundancyModel;
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
@@ -89,6 +90,12 @@ pub enum EngineError {
     UnknownStrategy(String),
     /// The job's flow named an unregistered pass id.
     Flow(SynthesisError),
+    /// The job's latency bound is above [`MAX_LATENCY`], more control
+    /// steps than the kernels size their per-step tables for.
+    LatencyLimit {
+        /// The latency bound asked for.
+        latency: u32,
+    },
     /// No design meets the job's bounds.
     Infeasible {
         /// The canonical workload spec.
@@ -108,6 +115,10 @@ impl fmt::Display for EngineError {
                 write!(f, "{id:?} is not a registered strategy")
             }
             EngineError::Flow(e) => write!(f, "{e}"),
+            EngineError::LatencyLimit { latency } => write!(
+                f,
+                "latency bound {latency} exceeds the limit of {MAX_LATENCY} control steps"
+            ),
             EngineError::Infeasible {
                 workload,
                 bounds,
@@ -504,7 +515,7 @@ impl Engine {
     /// does not resolve, or when no design meets the bounds.
     pub fn synth(&self, job: &SynthJob) -> Result<SynthReport, EngineError> {
         let workload = self.workload(&job.workload)?;
-        self.synth_resolved(job, &workload)
+        self.synth_resolved(job, &workload, flow::strategy(&job.strategy).as_deref())
     }
 
     /// Runs a batch in parallel over the session executor.
@@ -561,9 +572,16 @@ impl Engine {
         }
     }
 
-    /// Resolves every job's workload on the calling thread, then runs the
-    /// jobs over the session executor. Returns each job's resolution
-    /// beside its result, in job order.
+    /// Resolves every job's workload and strategy on the calling thread,
+    /// then runs the jobs over the session executor. Returns each job's
+    /// resolution beside its result, in job order.
+    ///
+    /// Jobs whose strategy is a composite are dispatched after all the
+    /// others, in job order within each group. A composite reads its
+    /// parts from the session memo, and a part another worker is still
+    /// computing is a slot it can only wait on; dispatched last, it
+    /// mostly finds its parts done, and the workers spend the batch on
+    /// the parts themselves (an allocation search they can help scan).
     fn resolve_and_run(
         &self,
         jobs: &[SynthJob],
@@ -571,34 +589,54 @@ impl Engine {
         Result<InternedWorkload, EngineError>,
         Result<SynthReport, EngineError>,
     )> {
-        let resolved: Vec<(&SynthJob, Result<InternedWorkload, EngineError>)> = jobs
+        let resolved: Vec<_> = jobs
             .iter()
-            .map(|job| (job, self.workload(&job.workload)))
+            .map(|job| {
+                let workload = self.workload(&job.workload);
+                (job, workload, flow::strategy(&job.strategy))
+            })
             .collect();
-        let results = self.executor().run(&resolved, |(job, workload)| {
+        let composite = |&i: &usize| {
+            let strategy = resolved[i].2.as_ref();
+            strategy.is_some_and(|s| !s.parts().is_empty())
+        };
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(composite);
+        let results = self.executor().run(&order, |&i| {
+            let (job, workload, strategy) = &resolved[i];
             let workload = workload.as_ref().map_err(Clone::clone)?;
-            self.synth_resolved(job, workload)
+            self.synth_resolved(job, workload, strategy.as_deref())
         });
+        let mut results: Vec<_> = order.into_iter().zip(results).collect();
+        results.sort_unstable_by_key(|&(i, _)| i);
         resolved
             .into_iter()
-            .map(|(_, workload)| workload)
             .zip(results)
+            .map(|((_, workload, _), (_, result))| (workload, result))
             .collect()
     }
 
-    /// The cached synthesis of one job whose workload is already
-    /// resolved. Validation (flow, strategy) happens before the cache so
-    /// every failure mode has a canonical, order-independent message.
+    /// The cached synthesis of one job whose workload and strategy are
+    /// already resolved (`None`: the strategy id did not resolve).
+    /// Validation (flow, strategy, latency limit) happens before the
+    /// cache so every failure mode has a canonical, order-independent
+    /// message.
     fn synth_resolved(
         &self,
         job: &SynthJob,
         workload: &InternedWorkload,
+        strategy: Option<&dyn Strategy>,
     ) -> Result<SynthReport, EngineError> {
         job.flow.resolve().map_err(EngineError::Flow)?;
-        let strategy = flow::strategy(&job.strategy)
-            .ok_or_else(|| EngineError::UnknownStrategy(job.strategy.clone()))?;
+        let strategy =
+            strategy.ok_or_else(|| EngineError::UnknownStrategy(job.strategy.clone()))?;
+        if job.latency > MAX_LATENCY {
+            return Err(EngineError::LatencyLimit {
+                latency: job.latency,
+            });
+        }
         self.cache
-            .synthesize_with_workload(workload, &self.library, job, &*strategy)
+            .synthesize_with_workload(workload, &self.library, job, strategy)
             .ok_or_else(|| EngineError::Infeasible {
                 workload: workload.spec.clone(),
                 bounds: job.bounds(),
@@ -734,6 +772,98 @@ mod tests {
             .synth(&SynthJob::new("builtin:figure4a", 3, 99))
             .unwrap_err();
         assert_eq!(infeasible, again);
+    }
+
+    /// An out-of-tree composite: the more reliable report of its parts.
+    struct BestOf(&'static str, [&'static str; 2]);
+
+    impl Strategy for BestOf {
+        fn id(&self) -> &str {
+            self.0
+        }
+
+        fn parts(&self) -> &[&str] {
+            &self.1
+        }
+
+        fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
+            let [a, b] = self.1.map(|id| request.part(id));
+            let (a, b) = (a?, b?);
+            let reliability = |r: &SynthReport| r.design.reliability.value();
+            Ok(if reliability(&b) > reliability(&a) {
+                b
+            } else {
+                a
+            })
+        }
+    }
+
+    #[test]
+    fn out_of_tree_composites_read_their_parts_from_the_memo() {
+        let _ = flow::register_strategy(Arc::new(BestOf("test-best-of", ["ours", "redundancy"])));
+        let _ = flow::register_strategy(Arc::new(BestOf("test-bad-parts", ["nope", "combined"])));
+        let e = engine().with_jobs(2);
+        let job = |strategy: &str| SynthJob::new("builtin:figure4a", 6, 4).with_strategy(strategy);
+        let jobs = ["test-best-of", "ours", "redundancy", "test-bad-parts"].map(job);
+        let results = e.synth_batch(&jobs);
+        // Dispatched after the jobs computing its parts, the composite
+        // reads both from the memo.
+        assert_eq!(e.cache_stats(), CacheStats { hits: 2, misses: 4 });
+        let dfg = rchls_workloads::figure4a();
+        let request = SynthRequest::new(&dfg, e.library(), job("ours").bounds());
+        let direct = flow::strategy("test-best-of")
+            .unwrap()
+            .run(&request)
+            .unwrap();
+        let composite = results[0].as_ref().unwrap();
+        assert_eq!(composite.design, direct.design);
+        assert_eq!(
+            composite.diagnostics.scrubbed(),
+            direct.diagnostics.scrubbed()
+        );
+        // A part that does not resolve, or is itself a composite, is an
+        // error of the composite's run, never a panic.
+        for id in ["nope", "combined"] {
+            assert_eq!(
+                request.part(id).unwrap_err(),
+                SynthesisError::UnknownPass {
+                    kind: "part strategy".to_owned(),
+                    id: id.to_owned()
+                }
+            );
+        }
+        assert!(matches!(results[3], Err(EngineError::Infeasible { .. })));
+    }
+
+    #[test]
+    fn latency_bounds_past_the_limit_are_one_canonical_error() {
+        let e = engine();
+        let jobs = [
+            SynthJob::new("builtin:diffeq", 4_000_000_000, 11),
+            SynthJob::new("builtin:figure4a", MAX_LATENCY + 1, 4).with_strategy("combined"),
+            SynthJob::new("builtin:figure4a", MAX_LATENCY, 4),
+            SynthJob::new("builtin:diffeq", 6, 11),
+        ];
+        let results = e.synth_batch(&jobs);
+        assert_eq!(
+            results[0].as_ref().unwrap_err(),
+            &EngineError::LatencyLimit {
+                latency: 4_000_000_000
+            }
+        );
+        assert_eq!(
+            results[0].as_ref().unwrap_err().to_string(),
+            "latency bound 4000000000 exceeds the limit of 65536 control steps"
+        );
+        assert_eq!(
+            results[1].as_ref().unwrap_err().to_string(),
+            "latency bound 65537 exceeds the limit of 65536 control steps"
+        );
+        // The limit itself is a bound like any other, and the rest of the
+        // batch still runs.
+        assert!(results[2].is_ok());
+        assert_eq!(results[3].as_ref().unwrap(), &e.synth(&jobs[3]).unwrap());
+        assert_eq!(e.memoized_points(), 2, "a rejected job reaches no cache");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use crate::bounds::Bounds;
 use crate::design::Design;
+use crate::engine::PartReader;
 use crate::error::SynthesisError;
 use crate::flow::{Diagnostics, FlowSpec};
 use crate::redundancy::{add_redundancy_with_model, RedundancyModel};
@@ -32,6 +33,11 @@ pub struct SynthRequest<'a> {
     /// Session-interned uniform start pools (`None` = recompute per
     /// run).
     starts_cache: Option<&'a crate::engine::StartsCache>,
+    /// The session memo a composite reads its parts through (`None` =
+    /// run each part on this request). Only the engine's report cache
+    /// sets it, on the request of a composite a job names, so a part's
+    /// own request never carries one.
+    parts: Option<PartReader<'a>>,
 }
 
 impl<'a> SynthRequest<'a> {
@@ -46,6 +52,7 @@ impl<'a> SynthRequest<'a> {
             redundancy: RedundancyModel::default(),
             scratch_pool: None,
             starts_cache: None,
+            parts: None,
         }
     }
 
@@ -91,6 +98,44 @@ impl<'a> SynthRequest<'a> {
     #[must_use]
     pub fn starts_cache(&self) -> Option<&'a crate::engine::StartsCache> {
         self.starts_cache
+    }
+
+    /// Reads a composite's parts through `reader` (see
+    /// [`SynthRequest::part`]).
+    pub(crate) fn with_part_reader(mut self, reader: PartReader<'a>) -> SynthRequest<'a> {
+        self.parts = Some(reader);
+        self
+    }
+
+    /// The report of strategy `id` at this request's point: how a
+    /// composite strategy (see [`Strategy::parts`]) gets its parts.
+    ///
+    /// Under an [`Engine`](crate::Engine) the part is read through the
+    /// session's report memo under its own cache key, store tier and
+    /// single-flight included, so a part that another job of the session
+    /// asked for is not computed again. Without one (a plain
+    /// [`Strategy::run`]) the part runs on this request.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SynthesisError::UnknownPass`] when `id` names no
+    /// registered strategy or names a composite (parts do not nest), and
+    /// the part's own error when it finds no design.
+    pub fn part(&self, id: &str) -> Result<SynthReport, SynthesisError> {
+        let part = crate::flow::strategy(id)
+            .filter(|part| part.parts().is_empty())
+            .ok_or_else(|| SynthesisError::UnknownPass {
+                kind: "part strategy".to_owned(),
+                id: id.to_owned(),
+            })?;
+        let Some(reader) = &self.parts else {
+            return part.run(self);
+        };
+        reader
+            .read(&*part)
+            .ok_or_else(|| SynthesisError::NoSolution {
+                reason: format!("no {id} design meets {}", self.bounds),
+            })
     }
 }
 
@@ -139,6 +184,16 @@ pub trait Strategy: Send + Sync {
     /// fold them in so differently-parameterized runs never collide.
     fn fingerprint_token(&self) -> String {
         self.id().to_owned()
+    }
+
+    /// The registry ids of the strategies this one combines, if it is a
+    /// composite. A composite reads each part with
+    /// [`SynthRequest::part`], which under an [`Engine`](crate::Engine)
+    /// is a read of the session memo, and a batch dispatches composites
+    /// after its other jobs, so the jobs that compute the parts run
+    /// first. Parts must not be composites themselves. Defaults to none.
+    fn parts(&self) -> &[&str] {
+        &[]
     }
 
     /// Synthesizes one design point.
@@ -225,8 +280,8 @@ impl Strategy for Baseline {
 /// The paper's unified scheme, the "Our approach + Ref \[3\]" column of
 /// its Table 2. Id `"combined"`.
 ///
-/// It runs the reliability-centric synthesizer ([`Ours`]), then spends
-/// any area still under the bound on modular redundancy. As in the
+/// It takes the reliability-centric design ([`Ours`]), then spends any
+/// area still under the bound on modular redundancy. As in the
 /// paper, redundant copies use *the same version* the reliability-centric
 /// pass selected for the instance ("when we add redundancy for an
 /// operator, we use the same version selected by our reliability-centric
@@ -241,6 +296,10 @@ impl Strategy for Baseline {
 /// report's diagnostics fold both branches together, and
 /// [`Strategy::run`] fails only when *neither* branch finds a feasible
 /// design.
+///
+/// Both branches are its [parts](Strategy::parts), `ours` and
+/// `baseline`: under an engine they are read from the session memo, so a
+/// Table-2 sweep computes each `ours` point once, not twice.
 ///
 /// # Examples
 ///
@@ -268,6 +327,10 @@ impl Strategy for Combined {
 
     fn description(&self) -> &str {
         "reliability-centric selection + leftover-area redundancy (portfolio with baseline)"
+    }
+
+    fn parts(&self) -> &[&str] {
+        &["ours", "baseline"]
     }
 
     fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {

@@ -88,7 +88,7 @@ mod synth;
 mod validate;
 
 pub use baseline::baseline_versions;
-pub use bounds::Bounds;
+pub use bounds::{Bounds, MAX_LATENCY};
 pub use design::Design;
 pub use engine::{BatchReport, CacheBudget, Engine, EngineError, JobOutcome, SynthJob};
 pub use error::SynthesisError;

@@ -6,20 +6,22 @@
 //! it over the pinned random families `random:{8x3,32x6,64x8}@{0..4}`
 //! and every builtin workload, and checks that whole engine batches stay
 //! byte-identical across worker counts (`--jobs 1` vs `--jobs 8`) with
-//! the scratch pool in play.
+//! the scratch pool in play, and that a composite strategy reading its
+//! parts from the session memo answers exactly what a direct run does.
 
 use rchls_bind::{
     bind_coloring, bind_left_edge,
     reference::{bind_coloring_reference, bind_left_edge_reference},
     Assignment, BindScratch,
 };
-use rchls_core::{Engine, FlowSpec, SynthJob};
+use rchls_core::{Bounds, CacheBudget, Engine, FlowSpec, SynthJob, SynthReport, SynthRequest};
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
 use rchls_sched::{
     reference::{schedule_density_reference, schedule_force_directed_reference},
     schedule_density_with, schedule_force_directed_with, SchedScratch,
 };
+use std::sync::Arc;
 
 /// The pinned corpus: three random families at five seeds each, plus
 /// every builtin workload.
@@ -47,17 +49,86 @@ fn latencies(dfg: &Dfg, lib: &Library, assignment: &Assignment) -> Vec<u32> {
     vec![min, min + 3]
 }
 
+/// A seeded per-node choice among each class's versions, so 1-cycle and
+/// 2-cycle nodes mix (Table 1 has both delays in each class). With `fit`
+/// set, nodes start on the fastest version and a node takes its drawn
+/// version only while the graph still fits in `fit` steps.
+fn mixed_assignment(dfg: &Dfg, lib: &Library, seed: u64, fit: Option<u32>) -> Assignment {
+    let mut mix = seed ^ 0x9E37_79B9_7F4A_7C15;
+    let mut assignment = Assignment::from_fn(dfg, lib, |n| {
+        lib.versions_of(dfg.node(n).class())
+            .min_by_key(|(id, v)| (v.delay(), id.index()))
+            .expect("table1 covers all classes")
+            .0
+    });
+    let fits = |a: &Assignment| {
+        fit.is_none_or(|steps| {
+            let delays = a.delays(dfg, lib);
+            rchls_sched::asap(dfg, &delays).expect("acyclic").latency() <= steps
+        })
+    };
+    for n in dfg.node_ids() {
+        mix ^= mix << 13;
+        mix ^= mix >> 7;
+        mix ^= mix << 17;
+        let versions: Vec<_> = lib
+            .versions_of(dfg.node(n).class())
+            .map(|(id, _)| id)
+            .collect();
+        let fastest = assignment.version(n);
+        assignment.set(n, versions[(mix % versions.len() as u64) as usize]);
+        if !fits(&assignment) {
+            assignment.set(n, fastest);
+        }
+    }
+    assignment
+}
+
+/// Every latency from the critical path to six steps above it.
+fn latency_range(dfg: &Dfg, lib: &Library, assignment: &Assignment) -> Vec<u32> {
+    let min = latencies(dfg, lib, assignment)[0];
+    (min..=min + 6).collect()
+}
+
 #[test]
 fn delta_schedulers_match_naive_references_on_the_corpus() {
     let lib = Library::table1();
+    // Uniform 2-cycle delays at two latencies, then seeded mixes of
+    // 1-cycle and 2-cycle nodes at every latency up to six above the
+    // critical path, then the allocation search's wide corners at L=8
+    // (where random:64x8 and random:96x8 fit only 1-cycle versions).
+    let mut cases = Vec::new();
+    for (seed, (spec, dfg)) in (0u64..).zip(corpus()) {
+        let uniform = Assignment::uniform(&dfg, &lib).expect("table1 covers all classes");
+        let mixed = mixed_assignment(&dfg, &lib, seed, None);
+        let delays = mixed.delays(&dfg, &lib);
+        let one_cycle = dfg.node_ids().filter(|&n| delays.get(n) == 1).count();
+        assert!(
+            0 < one_cycle && one_cycle < dfg.node_count(),
+            "{spec}: the mix has both 1-cycle and 2-cycle nodes"
+        );
+        let (uniform_ls, mixed_ls) = (
+            latencies(&dfg, &lib, &uniform),
+            latency_range(&dfg, &lib, &mixed),
+        );
+        cases.push((spec.clone(), dfg.clone(), uniform, uniform_ls));
+        cases.push((format!("{spec} mixed"), dfg, mixed, mixed_ls));
+    }
+    for shape in ["32x5", "64x6", "64x8", "96x8"] {
+        let spec = format!("random:{shape}@0");
+        let dfg = rchls_workloads::load_workload(&spec)
+            .expect("pinned spec resolves")
+            .dfg;
+        let fitted = mixed_assignment(&dfg, &lib, 8, Some(8));
+        cases.push((format!("{spec} mixed"), dfg, fitted, vec![8]));
+    }
     // One long-lived scratch across the whole corpus: exactly the reuse
     // pattern the engine's pool produces.
     let mut scratch = SchedScratch::new();
-    for (spec, dfg) in corpus() {
+    for (spec, dfg, assignment, latencies) in cases {
         scratch.invalidate();
-        let assignment = Assignment::uniform(&dfg, &lib).expect("table1 covers all classes");
         let delays = assignment.delays(&dfg, &lib);
-        for latency in latencies(&dfg, &lib, &assignment) {
+        for latency in latencies {
             let density = schedule_density_with(&dfg, &delays, latency, &mut scratch)
                 .expect("latency >= critical path");
             let density_ref = schedule_density_reference(&dfg, &delays, latency).unwrap();
@@ -298,4 +369,79 @@ fn greedy_reference_reproduces_greedy_batches_across_worker_counts() {
         seen.push(fast);
     }
     assert_eq!(seen[0], seen[1], "worker count changed the document");
+}
+
+/// `combined` under an engine reads its `ours` and `baseline` parts from
+/// the session memo; a plain `Strategy::run` computes them. The two must
+/// give the same report (wall times scrubbed) at every point of the
+/// corpus, at two bounds per graph, whether the batch lists `combined`
+/// before its parts or after them, at `--jobs 1` and `--jobs 8`, at cache
+/// budget 0 and unlimited, and through a cold store and then a warm one.
+#[test]
+fn memoized_parts_reproduce_direct_combined_runs() {
+    let lib = Library::table1();
+    let combined = rchls_core::flow::strategy("combined").expect("built-in");
+    let scrub = |r: SynthReport| SynthReport {
+        diagnostics: r.diagnostics.scrubbed(),
+        ..r
+    };
+    let mut points = Vec::new();
+    for (spec, dfg) in corpus() {
+        let assignment = Assignment::uniform(&dfg, &lib).expect("table1 covers all classes");
+        let n = u32::try_from(dfg.node_count()).expect("small graphs");
+        let ls = latencies(&dfg, &lib, &assignment);
+        for bounds in [Bounds::new(ls[0], n / 4 + 2), Bounds::new(ls[1], n / 2 + 4)] {
+            let direct = combined.run(&SynthRequest::new(&dfg, &lib, bounds));
+            points.push((spec.clone(), bounds, direct.ok().map(scrub)));
+        }
+    }
+    let feasible = points.iter().filter(|p| p.2.is_some()).count();
+    assert!(
+        0 < feasible && feasible < points.len(),
+        "both answers occur"
+    );
+    let jobs = |combined_first: bool| -> Vec<SynthJob> {
+        let mut order = ["ours", "baseline", "combined"];
+        if combined_first {
+            order.rotate_right(1);
+        }
+        points
+            .iter()
+            .flat_map(|(spec, bounds, _)| {
+                order.map(|id| SynthJob::new(spec, bounds.latency, bounds.area).with_strategy(id))
+            })
+            .collect()
+    };
+    let root = std::env::temp_dir().join(format!("rchls-parts-{}", std::process::id()));
+    for combined_first in [true, false] {
+        for workers in [1usize, 8] {
+            for budget in [CacheBudget::limited(0), CacheBudget::UNLIMITED] {
+                let _ = std::fs::remove_dir_all(&root);
+                let store = Arc::new(rchls_store::ResultStore::open(&root).expect("temp store"));
+                for tier in ["cold", "warm"] {
+                    let engine = Engine::new(lib.clone())
+                        .with_jobs(workers)
+                        .with_cache_budget(budget)
+                        .with_store(Arc::clone(&store));
+                    let jobs = jobs(combined_first);
+                    let batch = engine.run_batch(&jobs);
+                    let combined_outcomes = jobs
+                        .iter()
+                        .zip(&batch.outcomes)
+                        .filter(|(job, _)| job.strategy == "combined");
+                    for ((job, outcome), (_, _, direct)) in combined_outcomes.zip(&points) {
+                        assert_eq!(
+                            &outcome.report,
+                            direct,
+                            "{} at {}: combined first {combined_first}, --jobs {workers}, \
+                             budget {budget}, {tier} store",
+                            job.workload,
+                            job.bounds()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }

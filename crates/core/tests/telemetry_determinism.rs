@@ -9,12 +9,14 @@
 //!
 //! * identical deterministic tallies at `--jobs 1` and `--jobs 8` (cold
 //!   run all misses, warm re-run all hits), in a valid snapshot;
-//! * on `ours` + `combined` pairs that share their searches, and on the
-//!   same jobs each listed twice, identical documents and cache tallies
-//!   at both worker counts, with misses equal to the distinct keys
-//!   computed;
+//! * on points where two `ours` jobs share their searches and a
+//!   `combined` job reads its parts from the memo, and on the same jobs
+//!   each listed twice, identical documents and cache tallies at both
+//!   worker counts, with misses equal to the distinct keys computed and
+//!   one Figure-6 run per distinct `ours` key;
 //! * four threads asking for one fresh report at once compute it once,
-//!   with one store read and one store write;
+//!   with one store read and one store write, and two of them asking for
+//!   `combined` instead still run Figure 6 once;
 //! * byte-identical batch documents with span sinks installed vs none;
 //! * a structurally valid Chrome trace whose sched/bind/refine spans
 //!   nest inside their enclosing `synth` span by timestamp containment.
@@ -24,13 +26,15 @@
 //! [`telemetry_lock`] so resets and sink installs can't interleave.
 
 use rchls_core::engine::CacheStats;
-use rchls_core::{Engine, SynthJob};
+use rchls_core::{Engine, FlowSpec, SynthJob};
 use rchls_reslib::Library;
+use rchls_telemetry::metrics::TIME_BUCKETS_MICROS;
 use rchls_telemetry::{
     metrics, register_sink, trace_event_names, unregister_sink, AggregatorSink, ChromeTraceSink,
     SpanSink,
 };
 use serde::Value;
+use std::collections::HashSet;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 
 /// Serializes tests that touch the process-global telemetry state.
@@ -161,24 +165,33 @@ fn deterministic_counters_match_across_worker_counts() {
     assert!(get("alloc_search.bound_pruned") > 0, "alloc search pruned");
 }
 
-/// `ours` and `combined` on the same points: `combined` re-runs `ours`'s
-/// synthesis before it adds redundancy, so both strategies of a point
-/// ask for the same start pools and the same allocation search — at
-/// `--jobs 8` usually while the other is still computing them.
+/// Three jobs on each point. The two `ours` jobs differ only in their
+/// victim policy, so they have different report keys but ask for the
+/// same start pools and the same allocation search, at `--jobs 8`
+/// usually while the other is still computing them. The `combined` job
+/// reads the default `ours` report and the `baseline` report from the
+/// session memo.
 fn shared_point_jobs() -> Vec<SynthJob> {
     let mut points: Vec<(String, u32, u32)> = (0..6u64)
         .map(|seed| (format!("random:16x4@{seed}"), 8, 10))
         .collect();
     points.push(("builtin:diffeq".to_owned(), 6, 11));
+    let min_loss = FlowSpec::default().with_victim("min-reliability-loss");
     points
         .into_iter()
         .flat_map(|(spec, latency, area)| {
             [
                 SynthJob::new(spec.clone(), latency, area),
+                SynthJob::new(spec.clone(), latency, area).with_flow(min_loss.clone()),
                 SynthJob::new(spec, latency, area).with_strategy("combined"),
             ]
         })
         .collect()
+}
+
+/// Runs of the Figure-6 flow (`synthesize_report`) recorded so far.
+fn figure6_runs() -> u64 {
+    metrics::histogram("phase.synth_micros", TIME_BUCKETS_MICROS).count()
 }
 
 /// Cache tallies that single-flight slots make deterministic for any job
@@ -230,7 +243,18 @@ fn shared_searches_compute_once_at_any_worker_count() {
             assert_eq!(engine.cache_stats().misses, misses("synth_cache"));
             assert!(
                 metrics::counter("alloc_cache.hits").get() > 0,
-                "--jobs {workers}: combined reuses ours's search"
+                "--jobs {workers}: the two victim policies share one search"
+            );
+            // `combined` reads `ours` from the memo instead of running it.
+            let ours_keys: HashSet<String> = jobs
+                .iter()
+                .filter(|job| job.strategy == "ours")
+                .map(|job| serde_json::to_string(job).expect("jobs serialize"))
+                .collect();
+            assert_eq!(
+                figure6_runs(),
+                ours_keys.len() as u64,
+                "--jobs {workers}: one Figure-6 run per distinct ours key"
             );
             tallies.push(
                 SHARED_CACHE_COUNTERS
@@ -277,6 +301,39 @@ fn concurrent_identical_synths_compute_once() {
     assert_eq!(store_count("misses"), misses + 1, "one store read");
     assert_eq!(store_count("writes"), writes + 1, "one store write");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Four threads on one fresh point, two asking for `combined` and two
+/// for `ours`: whichever leads, the composite waits on its part's slot
+/// while holding only its own, so nothing deadlocks, and Figure 6 runs
+/// once. The report table misses once per key: `combined`, `ours` and
+/// `baseline`.
+#[test]
+fn composites_and_their_parts_compute_once_under_contention() {
+    let _lock = telemetry_lock();
+    let engine = Engine::new(Library::table1());
+    let job = |strategy: &str| SynthJob::new("random:64x8@0", 14, 24).with_strategy(strategy);
+    let runs = figure6_runs();
+    let barrier = Barrier::new(4);
+    let reports: Vec<_> = std::thread::scope(|scope| {
+        let threads: Vec<_> = ["combined", "ours", "combined", "ours"]
+            .into_iter()
+            .map(|strategy| {
+                let (engine, barrier, job) = (&engine, &barrier, job(strategy));
+                scope.spawn(move || {
+                    barrier.wait();
+                    engine.synth(&job).map(|r| r.design)
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    assert_eq!(reports[0], reports[2], "the two combined answers agree");
+    assert_eq!(reports[1], reports[3], "the two ours answers agree");
+    assert_eq!(reports[1], engine.synth(&job("ours")).map(|r| r.design));
+    assert_eq!(figure6_runs(), runs + 1, "one Figure-6 run");
+    assert_eq!(engine.cache_stats().misses, 3, "combined, ours, baseline");
+    assert_eq!(engine.memoized_points(), 3);
 }
 
 #[test]

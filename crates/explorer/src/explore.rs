@@ -10,7 +10,7 @@
 use crate::pareto::{FrontierPoint, ParetoArchive};
 use rchls_core::engine::InternedWorkload;
 use rchls_core::explore::{inherit, SweepRow, TABLE2};
-use rchls_core::{Engine, EngineError, FlowSpec, RedundancyModel, SynthJob};
+use rchls_core::{Engine, EngineError, FlowSpec, RedundancyModel, SynthJob, MAX_LATENCY};
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
 use serde::{Deserialize, Serialize};
@@ -61,7 +61,8 @@ pub struct BenchmarkSweep {
     pub rows: Vec<SweepRow>,
 }
 
-/// Checks `flow` and resolves every task's workload through `engine`:
+/// Checks `flow` and every grid's latency bounds (against
+/// [`MAX_LATENCY`]) and resolves every task's workload through `engine`:
 /// every input error a sweep can have, found before any synthesis.
 pub(crate) fn resolve(
     engine: &Engine,
@@ -69,6 +70,10 @@ pub(crate) fn resolve(
     flow: &FlowSpec,
 ) -> Result<Vec<InternedWorkload>, EngineError> {
     flow.resolve().map_err(EngineError::Flow)?;
+    let mut points = tasks.iter().flat_map(|t| &t.grid);
+    if let Some(&(latency, _)) = points.find(|&&(latency, _)| latency > MAX_LATENCY) {
+        return Err(EngineError::LatencyLimit { latency });
+    }
     tasks.iter().map(|t| engine.workload(&t.workload)).collect()
 }
 

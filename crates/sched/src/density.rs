@@ -152,10 +152,26 @@ pub fn schedule_density_with(
         order.sort_by_key(|&n| (ls[n.index()] - es[n.index()], n.index()));
     }
 
+    // The windows go stale with each placement and are rebuilt before the
+    // next, except after a placement into a one-step window: the forward
+    // pass would recompute that node's earliest start from the same
+    // predecessors and the backward pass its latest start, both to the
+    // step it took, and every other node reads only its neighbours'
+    // windows, so no window moves. Such a node needs no density either:
+    // the minimum over one start is that start. The fill above is current
+    // for the first victim.
+    let mut stale = false;
     for &victim in &order {
-        scratch.fill_windows(dfg, delays, latency);
+        if stale {
+            scratch.fill_windows(dfg, delays, latency);
+        }
         let (es, ls) = (scratch.es[victim.index()], scratch.ls[victim.index()]);
         debug_assert!(es <= ls, "window collapsed below feasibility");
+        stale = es < ls;
+        if !stale {
+            scratch.fixed[victim.index()] = Some(es);
+            continue;
+        }
         let class = dfg.node(victim).class();
         fill_class_density(scratch, dfg, delays, latency, class, Some(victim));
         let d = delays.get(victim);

@@ -697,3 +697,48 @@ fn client_assembles_split_frame_responses() {
     );
     server.join().unwrap();
 }
+
+#[test]
+fn latency_bounds_past_the_limit_get_one_reply_and_the_daemon_serves_on() {
+    use std::io::{BufRead, BufReader, Write};
+    let (handle, addr) = start(ephemeral(1, 4));
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut exchange = |line: &str| {
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        serde_json::from_str::<Value>(&reply).unwrap()
+    };
+    let limit = "latency bound 4000000000 exceeds the limit of 65536 control steps";
+    let synth = exchange(
+        r#"{"v": 1, "id": 1, "method": "synth", "params": {"workload": "builtin:diffeq", "latency": 4000000000, "area": 11}}"#,
+    );
+    let outcome = response_result(&synth).expect("a job error is still a result");
+    let outcome = outcome.as_map().unwrap();
+    assert_eq!(
+        map_get(outcome, "error"),
+        Some(&Value::Str(limit.to_owned()))
+    );
+    assert_eq!(map_get(outcome, "report"), Some(&Value::Null));
+    // The next line on the connection answers the next request: the
+    // synth got exactly one reply.
+    let pong = exchange(r#"{"v": 1, "id": 2, "method": "ping"}"#);
+    assert_eq!(map_get(pong.as_map().unwrap(), "id"), Some(&Value::UInt(2)));
+    assert!(response_result(&pong).is_some(), "{pong:?}");
+    // A sweep holding such a bound is one bad_request.
+    let sweep = exchange(
+        r#"{"v": 1, "id": 3, "method": "sweep", "params": {"workload": "builtin:diffeq", "latencies": [5, 4000000000], "areas": [7]}}"#,
+    );
+    assert_eq!(response_error_kind(&sweep), Some("bad_request"));
+    assert!(
+        serde_json::to_string(&sweep).unwrap().contains(limit),
+        "{sweep:?}"
+    );
+    let pong = exchange(r#"{"v": 1, "id": 4, "method": "ping"}"#);
+    assert!(response_result(&pong).is_some(), "{pong:?}");
+    handle.shutdown();
+    handle.join();
+}
