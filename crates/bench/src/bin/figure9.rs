@@ -1,6 +1,6 @@
 //! Regenerates **Figure 9**: per-benchmark average reliabilities of the
 //! three strategies over the Table-2 grids, computed through the
-//! session engine's parallel executor.
+//! session engine's worker pool.
 
 use rchls_bench::paper_benchmarks;
 use rchls_core::explore::averages;

@@ -3,7 +3,7 @@
 //! scheme — over a 3×3 bound grid for each of the FIR, EWF and DiffEq
 //! benchmarks.
 //!
-//! All three grids run through one session engine (parallel executor,
+//! All three grids run through one session engine (one worker pool,
 //! shared synthesis cache); the output is byte-identical to the serial
 //! sweeps.
 

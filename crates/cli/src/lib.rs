@@ -925,7 +925,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("dry run"), "{out}");
         assert!(out.contains("127.0.0.1:7411"));
-        assert!(out.contains("3 synthesis workers"));
+        assert!(out.contains("3 synthesis threads at most"));
         assert!(out.contains("9 queued requests"));
         assert!(out.contains("65536 B"));
         assert!(out.contains("docs/protocol.md"));

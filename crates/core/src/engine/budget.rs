@@ -167,6 +167,8 @@ pub(crate) struct BudgetedTable<V> {
 }
 
 impl<V> Default for BudgetedTable<V> {
+    // Inlined so that `Engine::new` builds its session in place.
+    #[inline(always)]
     fn default() -> BudgetedTable<V> {
         BudgetedTable {
             entries: HashMap::new(),

@@ -206,6 +206,8 @@ pub struct SynthCache {
 impl SynthCache {
     /// An empty cache.
     #[must_use]
+    // Inlined so that `Engine::new` builds its session in place.
+    #[inline(always)]
     pub(crate) fn new() -> SynthCache {
         SynthCache {
             reports: Memo::new(crate::obs::synth_cache, |(_, token), report| {

@@ -67,6 +67,8 @@ pub(crate) struct Flights<F, S, V> {
 }
 
 impl<F, S, V> Default for Flights<F, S, V> {
+    // Inlined so that `Engine::new` builds its session in place.
+    #[inline(always)]
     fn default() -> Flights<F, S, V> {
         Flights {
             slots: Mutex::new(HashMap::new()),

@@ -101,6 +101,8 @@ pub(crate) struct Memo<F, S, V> {
 
 impl<F, S, V> Memo<F, S, V> {
     /// An empty table recording into `metrics`.
+    // Inlined so that `Engine::new` builds its session in place.
+    #[inline(always)]
     pub(crate) fn new(
         metrics: fn() -> &'static TableMetrics,
         heap_bytes: fn(&F, &V) -> usize,

@@ -16,16 +16,18 @@
 //!   a report alone reproduces its run;
 //! * every job runs through the [`SynthCache`] keyed by content
 //!   fingerprints, so structurally identical requests are answered once;
-//! * [`Engine::synth_batch`] fans jobs over the deterministic
-//!   [`SweepExecutor`]: results come back in job order and are
-//!   byte-identical at any worker count. Batches, the daemon, and every
-//!   `rchls-explorer` sweep synthesize through it, and the CLI's
+//! * [`Engine::synth_batch`] runs jobs on the engine's worker pool, at
+//!   most `jobs` threads started on demand: the caller works through its
+//!   own batch and idle pool threads help. Results come back in job
+//!   order and are byte-identical at any worker count. Batches, the
+//!   daemon (whose requests are pool tasks, see [`Engine::post`]), and
+//!   every `rchls-explorer` sweep synthesize through it, and the CLI's
 //!   `synth`, `validate` and `store verify` run through
 //!   [`Engine::synth`]. The engine is the only way to run a cached
 //!   synthesis.
 //!
-//! This module also hosts the executor, fingerprint, and cache
-//! primitives the engine is built from.
+//! This module also hosts the pool, fingerprint, and cache primitives
+//! the engine is built from.
 //!
 //! # Examples
 //!
@@ -47,10 +49,10 @@
 
 mod budget;
 mod cache;
-mod executor;
 mod fingerprint;
 mod flight;
 mod memo;
+mod pool;
 mod starts;
 pub mod store_tier;
 
@@ -58,9 +60,10 @@ pub use budget::CacheBudget;
 use cache::KeyPrefix;
 pub(crate) use cache::PartReader;
 pub use cache::{CacheKey, CacheStats, SynthCache};
-pub use executor::SweepExecutor;
 pub use fingerprint::{fingerprint, Fingerprint};
 pub use memo::TableStats;
+pub use pool::worker_count;
+use pool::Pool;
 pub use starts::StartsCache;
 pub use store_tier::{Provenance, StoredEntry};
 
@@ -313,28 +316,51 @@ pub struct InternedWorkload {
 /// and runs batches in parallel with deterministic output.
 #[derive(Debug)]
 pub struct Engine {
-    library: Arc<Library>,
+    /// What pool threads run this engine's jobs on.
+    session: Arc<Session>,
     /// The requested worker count; `0` means one worker per CPU.
     jobs: usize,
-    /// The executor for `jobs`, built the first time a count is needed,
-    /// so a caller that sets the count never reads the CPU count.
-    executor: OnceLock<SweepExecutor>,
-    cache: SynthCache,
     budget: CacheBudget,
     workloads: RwLock<HashMap<String, InternedWorkload>>,
+    /// The worker pool for `jobs`, built the first time it is needed, so
+    /// that building an engine starts no thread and a caller that sets
+    /// the count never reads the CPU count. Dropping it closes the pool.
+    pool: OnceLock<Pool>,
 }
+
+/// The library and the session caches: one allocation, shared with the
+/// pool threads that run the engine's jobs.
+#[derive(Debug)]
+struct Session {
+    library: Library,
+    cache: SynthCache,
+}
+
+/// A batch job resolved on its caller: the job, its interned workload,
+/// and its strategy (`None`: the id did not resolve).
+type Resolved = (
+    SynthJob,
+    Result<InternedWorkload, EngineError>,
+    Option<Arc<dyn Strategy>>,
+);
 
 impl Engine {
     /// A session over `library` with one worker per CPU.
     #[must_use]
     pub fn new(library: Library) -> Engine {
         Engine {
-            library: Arc::new(library),
+            // `new_cyclic` allocates before it builds the session, and the
+            // cache constructors are inlined, so the ~800-byte session is
+            // written straight into the allocation: no stack copy, and the
+            // engine costs what one `Arc<Library>` did.
+            session: Arc::new_cyclic(|_| Session {
+                library,
+                cache: SynthCache::new(),
+            }),
             jobs: 0,
-            executor: OnceLock::new(),
-            cache: SynthCache::new(),
             budget: CacheBudget::UNLIMITED,
             workloads: RwLock::new(HashMap::new()),
+            pool: OnceLock::new(),
         }
     }
 
@@ -343,7 +369,7 @@ impl Engine {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Engine {
         self.jobs = jobs;
-        self.executor = OnceLock::new();
+        self.pool = OnceLock::new();
         self
     }
 
@@ -354,7 +380,7 @@ impl Engine {
     #[must_use]
     pub fn with_cache_budget(mut self, budget: CacheBudget) -> Engine {
         self.budget = budget;
-        self.cache.set_budget(budget);
+        self.session.cache.set_budget(budget);
         self
     }
 
@@ -366,14 +392,14 @@ impl Engine {
     /// artifact.
     #[must_use]
     pub fn with_store(self, store: Arc<rchls_store::ResultStore>) -> Engine {
-        self.cache.set_store(store);
+        self.session.cache.set_store(store);
         self
     }
 
     /// The attached on-disk store, if any.
     #[must_use]
     pub fn store(&self) -> Option<&Arc<rchls_store::ResultStore>> {
-        self.cache.store()
+        self.session.cache.store()
     }
 
     /// The session cache budget.
@@ -386,7 +412,7 @@ impl Engine {
     /// scratch pool).
     #[must_use]
     pub fn cache(&self) -> &SynthCache {
-        &self.cache
+        &self.session.cache
     }
 
     /// Approximate resident bytes across the three memo layers plus the
@@ -397,7 +423,7 @@ impl Engine {
             .iter()
             .map(|t| t.resident_bytes)
             .sum::<usize>()
-            + self.cache.scratch_pool().pooled_bytes()
+            + self.cache().scratch_pool().pooled_bytes()
     }
 
     /// Entries evicted across all cache layers since construction.
@@ -408,31 +434,39 @@ impl Engine {
 
     /// The three memo tables: reports, start pools, alloc designs.
     fn tables(&self) -> [TableStats; 3] {
-        let starts = self.cache.starts_cache();
-        [self.cache.stats(), starts.stats(), starts.alloc_stats()]
+        let starts = self.cache().starts_cache();
+        [self.cache().stats(), starts.stats(), starts.alloc_stats()]
     }
 
     /// The session library.
     #[must_use]
-    pub fn library(&self) -> &Arc<Library> {
-        &self.library
+    pub fn library(&self) -> &Library {
+        &self.session.library
     }
 
-    /// The batch worker count.
+    /// The worker count: the most pool threads this engine runs.
     #[must_use]
     pub fn jobs(&self) -> usize {
-        self.executor().jobs()
+        self.pool().workers()
     }
 
-    /// The session executor, resolving `0` on first use.
-    fn executor(&self) -> &SweepExecutor {
-        self.executor.get_or_init(|| SweepExecutor::new(self.jobs))
+    /// The worker pool, built (with `0` resolved) on first use.
+    fn pool(&self) -> &Pool {
+        self.pool.get_or_init(|| Pool::new(self.jobs))
+    }
+
+    /// Runs `task` on the engine's worker pool, after the batch work
+    /// already queued there. When the pool has no thread and cannot
+    /// start one, `task` runs on the calling thread before this returns.
+    /// The daemon posts one task per admitted request.
+    pub fn post(&self, task: impl FnOnce() + Send + 'static) {
+        self.pool().post(Box::new(task));
     }
 
     /// Hit/miss counters of the session cache.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats().lookups
+        self.cache().stats().lookups
     }
 
     /// Distinct synthesis points memoized so far — cumulative over the
@@ -440,21 +474,21 @@ impl Engine {
     /// worker count or cache budget.
     #[must_use]
     pub fn memoized_points(&self) -> usize {
-        self.cache.stats().seen
+        self.cache().stats().seen
     }
 
     /// Distinct uniform start pools interned so far (cumulative,
     /// eviction-independent).
     #[must_use]
     pub fn starts_pools(&self) -> usize {
-        self.cache.starts_cache().stats().seen
+        self.cache().starts_cache().stats().seen
     }
 
     /// Distinct allocation-first designs interned so far (cumulative,
     /// eviction-independent).
     #[must_use]
     pub fn alloc_designs(&self) -> usize {
-        self.cache.starts_cache().alloc_stats().seen
+        self.cache().starts_cache().alloc_stats().seen
     }
 
     /// Resolves a workload spec through the source registry, interning
@@ -473,7 +507,7 @@ impl Engine {
         let loaded = rchls_workloads::load_workload(spec)?;
         // The graph walk happens outside the write lock, so resolving a
         // large graph never stalls lookups of interned ones.
-        let prefix = KeyPrefix::new(&loaded.dfg, &self.library);
+        let prefix = KeyPrefix::new(&loaded.dfg, self.library());
         let mut table = crate::sync::write_unpoisoned(&self.workloads);
         // Under the write lock, prefer any entry that appeared since the
         // read-lock miss — either this spelling (a racing resolver) or
@@ -515,10 +549,11 @@ impl Engine {
     /// does not resolve, or when no design meets the bounds.
     pub fn synth(&self, job: &SynthJob) -> Result<SynthReport, EngineError> {
         let workload = self.workload(&job.workload)?;
-        self.synth_resolved(job, &workload, flow::strategy(&job.strategy).as_deref())
+        self.session
+            .synth_resolved(job, &workload, flow::strategy(&job.strategy).as_deref())
     }
 
-    /// Runs a batch in parallel over the session executor.
+    /// Runs a batch in parallel on the engine's worker pool.
     ///
     /// Results are in job order and independent of the worker count.
     /// Workloads are resolved (and interned) up front on the calling
@@ -526,23 +561,23 @@ impl Engine {
     /// exactly `k` graphs.
     #[must_use]
     pub fn synth_batch(&self, jobs: &[SynthJob]) -> Vec<Result<SynthReport, EngineError>> {
-        self.resolve_and_run(jobs)
-            .into_iter()
-            .map(|(_, result)| result)
-            .collect()
+        self.resolve_and_run(jobs).1
     }
 
     /// Runs a batch and assembles the deterministic outcome document.
     #[must_use]
     pub fn run_batch(&self, jobs: &[SynthJob]) -> BatchReport {
-        let outcomes = jobs
+        let (resolved, results) = self.resolve_and_run(jobs);
+        let outcomes = resolved
             .iter()
-            .zip(self.resolve_and_run(jobs))
-            .map(|(job, (workload, result))| {
+            .zip(results)
+            .map(|((job, workload, _), result)| {
                 // Echo the canonical spec so randomized runs are
                 // reproducible from the outcome alone; echo the input
                 // spec when resolution failed.
-                let workload = workload.map_or_else(|_| job.workload.clone(), |w| w.spec);
+                let workload = workload
+                    .as_ref()
+                    .map_or_else(|_| job.workload.clone(), |w| w.spec.clone());
                 let (report, error) = match result {
                     Ok(report) => (
                         Some(SynthReport {
@@ -573,8 +608,8 @@ impl Engine {
     }
 
     /// Resolves every job's workload and strategy on the calling thread,
-    /// then runs the jobs over the session executor. Returns each job's
-    /// resolution beside its result, in job order.
+    /// then runs the jobs on the worker pool. Returns each job's
+    /// resolution and result, in job order.
     ///
     /// Jobs whose strategy is a composite are dispatched after all the
     /// others, in job order within each group. A composite reads its
@@ -585,15 +620,12 @@ impl Engine {
     fn resolve_and_run(
         &self,
         jobs: &[SynthJob],
-    ) -> Vec<(
-        Result<InternedWorkload, EngineError>,
-        Result<SynthReport, EngineError>,
-    )> {
-        let resolved: Vec<_> = jobs
+    ) -> (Arc<[Resolved]>, Vec<Result<SynthReport, EngineError>>) {
+        let resolved: Arc<[Resolved]> = jobs
             .iter()
             .map(|job| {
                 let workload = self.workload(&job.workload);
-                (job, workload, flow::strategy(&job.strategy))
+                (job.clone(), workload, flow::strategy(&job.strategy))
             })
             .collect();
         let composite = |&i: &usize| {
@@ -602,20 +634,26 @@ impl Engine {
         };
         let mut order: Vec<usize> = (0..jobs.len()).collect();
         order.sort_by_key(composite);
-        let results = self.executor().run(&order, |&i| {
-            let (job, workload, strategy) = &resolved[i];
-            let workload = workload.as_ref().map_err(Clone::clone)?;
-            self.synth_resolved(job, workload, strategy.as_deref())
+        // Pool threads may outlive this call, so the batch owns what its
+        // jobs read: the resolved jobs and the session.
+        let (session, shared) = (Arc::clone(&self.session), Arc::clone(&resolved));
+        let mut results = self.pool().run(order, move |&i| {
+            let (job, workload, strategy) = &shared[i];
+            let result = workload
+                .as_ref()
+                .map_err(Clone::clone)
+                .and_then(|workload| session.synth_resolved(job, workload, strategy.as_deref()));
+            (i, result)
         });
-        let mut results: Vec<_> = order.into_iter().zip(results).collect();
         results.sort_unstable_by_key(|&(i, _)| i);
-        resolved
-            .into_iter()
-            .zip(results)
-            .map(|((_, workload, _), (_, result))| (workload, result))
-            .collect()
+        (
+            resolved,
+            results.into_iter().map(|(_, result)| result).collect(),
+        )
     }
+}
 
+impl Session {
     /// The cached synthesis of one job whose workload and strategy are
     /// already resolved (`None`: the strategy id did not resolve).
     /// Validation (flow, strategy, latency limit) happens before the
@@ -728,9 +766,88 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_resolves_as_the_executor_does() {
-        assert_eq!(engine().jobs(), SweepExecutor::new(0).jobs());
+    fn worker_count_resolves_as_the_pool_does() {
+        assert_eq!(engine().jobs(), worker_count(0));
         assert_eq!(engine().with_jobs(3).jobs(), 3);
+        // Building an engine starts no pool, and so no thread.
+        let e = engine().with_jobs(2);
+        assert!(e.pool.get().is_none());
+        // A one-job batch needs no helper: the pool starts no thread.
+        assert!(e.synth_batch(&[SynthJob::new("builtin:figure4a", 6, 4)])[0].is_ok());
+        assert_eq!(e.pool().threads(), 0);
+    }
+
+    /// Answers as `baseline`, recording the thread and the overlap of
+    /// every run. A run waits (at most ten seconds) until two runs have
+    /// overlapped, so a batch that gets a helper shows both threads.
+    struct Overlap;
+
+    #[derive(Default)]
+    struct Runs {
+        active: usize,
+        peak: usize,
+        threads: Vec<std::thread::ThreadId>,
+    }
+
+    fn runs() -> &'static (std::sync::Mutex<Runs>, std::sync::Condvar) {
+        static RUNS: OnceLock<(std::sync::Mutex<Runs>, std::sync::Condvar)> = OnceLock::new();
+        RUNS.get_or_init(Default::default)
+    }
+
+    impl Strategy for Overlap {
+        fn id(&self) -> &str {
+            "test-overlap"
+        }
+
+        fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
+            let (state, changed) = runs();
+            let mut runs = state.lock().unwrap();
+            runs.active += 1;
+            runs.peak = runs.peak.max(runs.active);
+            runs.threads.push(std::thread::current().id());
+            changed.notify_all();
+            let timeout = std::time::Duration::from_secs(10);
+            let mut runs = changed
+                .wait_timeout_while(runs, timeout, |runs| runs.peak < 2)
+                .unwrap()
+                .0;
+            runs.active -= 1;
+            drop(runs);
+            flow::strategy("baseline").unwrap().run(request)
+        }
+    }
+
+    #[test]
+    fn batches_run_on_the_caller_and_one_reused_pool_thread() {
+        let _ = flow::register_strategy(Arc::new(Overlap));
+        let e = engine().with_jobs(2);
+        let caller = std::thread::current().id();
+        let mut helpers = Vec::new();
+        for batch in 0..2 {
+            *runs().0.lock().unwrap() = Runs::default();
+            // Distinct bounds: no job joins another's computation.
+            let jobs: Vec<SynthJob> = (0..4)
+                .map(|i| {
+                    SynthJob::new("builtin:figure4a", 6 + 4 * batch + i, 4)
+                        .with_strategy("test-overlap")
+                })
+                .collect();
+            assert_eq!(e.synth_batch(&jobs).len(), 4);
+            let runs = runs().0.lock().unwrap();
+            assert_eq!(runs.peak, 2, "batch {batch} ran two-way, never more");
+            let threads: std::collections::HashSet<_> = runs.threads.iter().copied().collect();
+            assert!(threads.contains(&caller));
+            assert_eq!(threads.len(), 2, "batch {batch}: the caller and one helper");
+            helpers.extend(threads.into_iter().filter(|&t| t != caller));
+            drop(runs);
+            // The helper is back in the pool before the next batch posts.
+            e.pool().await_idle_thread();
+        }
+        assert_eq!(
+            helpers[0], helpers[1],
+            "one pool thread helped both batches"
+        );
+        assert_eq!(e.pool().threads(), 1);
     }
 
     #[test]

@@ -81,6 +81,8 @@ impl Default for StartsCache {
 impl StartsCache {
     /// An empty cache.
     #[must_use]
+    // Inlined so that `Engine::new` builds its session in place.
+    #[inline(always)]
     pub fn new() -> StartsCache {
         StartsCache {
             pools: Memo::new(crate::obs::starts_cache, |(_, scheduler, binder), entry| {

@@ -72,6 +72,8 @@ pub struct ScratchPool {
 impl ScratchPool {
     /// An empty pool.
     #[must_use]
+    // Inlined so that `Engine::new` builds its session in place.
+    #[inline(always)]
     pub fn new() -> ScratchPool {
         ScratchPool::default()
     }

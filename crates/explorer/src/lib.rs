@@ -9,7 +9,7 @@
 //!   grid) into engine jobs and runs them through
 //!   [`Engine::synth_batch`](rchls_core::Engine::synth_batch), so a sweep
 //!   shares the engine's interned workloads, its fingerprint cache and
-//!   store tier, and its deterministic executor (a parallel run is
+//!   store tier, and its worker pool (a parallel run is
 //!   byte-identical to a serial one);
 //! * [`ParetoArchive`] — maintains the non-dominated frontier over
 //!   achieved `(latency, area, reliability)` with dominance pruning and

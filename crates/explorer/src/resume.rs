@@ -44,7 +44,7 @@ pub fn sweep_fingerprint(
     fp.update(workload.dfg.name());
     fp.update(&Some(workload.spec));
     fp.update(&*workload.dfg);
-    fp.update(&**engine.library());
+    fp.update(engine.library());
     fp.update(&task.grid);
     fp.update(flow);
     fp.update(&model);

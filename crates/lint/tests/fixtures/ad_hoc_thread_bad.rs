@@ -1,4 +1,4 @@
-// Fixture: spawns a detached thread outside the blessed concurrency
+// Fixture: starts detached threads outside the blessed concurrency
 // owners.
 use std::thread;
 
@@ -8,4 +8,8 @@ pub fn fire_and_forget(job: impl FnOnce() + Send + 'static) {
 
 pub fn also_flagged(job: impl FnOnce() + Send + 'static) {
     std::thread::spawn(job);
+}
+
+pub fn named_but_still_ad_hoc(job: impl FnOnce() + Send + 'static) {
+    let _ = std::thread::Builder::new().name("stray".to_owned()).spawn(job);
 }

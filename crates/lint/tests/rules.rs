@@ -43,7 +43,7 @@ const PAIRS: &[(&str, usize)] = &[
     ("float-order", 2),
     ("unordered-iter", 2),
     ("panic-in-serve", 4),
-    ("ad-hoc-thread", 2),
+    ("ad-hoc-thread", 3),
     ("print-in-lib", 2),
 ];
 

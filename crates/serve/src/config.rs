@@ -1,7 +1,6 @@
-//! Daemon configuration: bind address, worker pool, admission queue,
+//! Daemon configuration: bind address, worker count, admission queue,
 //! and the session cache budget.
 
-use rchls_core::engine::SweepExecutor;
 use rchls_core::CacheBudget;
 use rchls_reslib::Library;
 use std::fmt::Write as _;
@@ -12,7 +11,8 @@ use std::net::SocketAddr;
 pub struct ServeConfig {
     /// The `ip:port` to bind (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Synthesis worker count (`0` = one worker per CPU).
+    /// The most synthesis threads the engine's worker pool runs, shared
+    /// by every request (`0` = one per CPU).
     pub jobs: usize,
     /// Maximum queued heavy requests; anything beyond is rejected with
     /// a structured `overloaded` error instead of waiting.
@@ -56,11 +56,11 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The worker count the pool will actually run (`jobs`, with `0`
-    /// resolved to one worker per CPU).
+    /// The most threads the worker pool will run (`jobs`, with `0`
+    /// resolved as the engine resolves it: one per CPU).
     #[must_use]
     pub fn effective_jobs(&self) -> usize {
-        SweepExecutor::new(self.jobs).jobs()
+        rchls_core::engine::worker_count(self.jobs)
     }
 
     /// Checks the configuration without binding anything.
@@ -97,7 +97,7 @@ impl ServeConfig {
         let _ = writeln!(out, "  addr          {}", self.addr);
         let _ = writeln!(
             out,
-            "  jobs          {} synthesis workers{}",
+            "  jobs          {} synthesis threads at most, one pool for every request{}",
             self.effective_jobs(),
             if self.jobs == 0 { " (one per CPU)" } else { "" }
         );
@@ -181,7 +181,7 @@ mod tests {
         };
         let out = config.render(&Library::table1());
         assert!(out.contains("127.0.0.1:7411"));
-        assert!(out.contains("3 synthesis workers"));
+        assert!(out.contains("3 synthesis threads at most"));
         assert!(!out.contains("one per CPU"));
         assert!(out.contains("9 queued requests"));
         assert!(out.contains("17 simultaneous connections"));

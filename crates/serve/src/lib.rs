@@ -7,9 +7,10 @@
 //! versioned line-delimited JSON protocol (`{"v": 1, "id": ...,
 //! "method": ..., "params": ...}` per line — see [`protocol`] and
 //! `docs/protocol.md`), built on `std::net` alone: an accept loop, a
-//! reader thread per connection, and a bounded pool of synthesis
-//! workers reusing the deterministic
-//! [`SweepExecutor`](rchls_core::engine::SweepExecutor) discipline.
+//! reader thread per connection, and synthesis on the engine's worker
+//! pool, where each admitted request is one task
+//! ([`Engine::post`](rchls_core::Engine::post)) and `--jobs` bounds the
+//! synthesis threads of every request together.
 //!
 //! Three service properties the offline CLI never needed:
 //!

@@ -1,6 +1,6 @@
-//! The daemon: accept loop, per-connection readers, and a bounded
-//! worker pool with admission control, deadlines, fairness, and
-//! graceful drain.
+//! The daemon: accept loop, per-connection readers, and synthesis on
+//! the engine's worker pool, with admission control, deadlines,
+//! fairness, and graceful drain.
 //!
 //! Concurrency shape (plain `std` threads, no async runtime):
 //!
@@ -19,10 +19,13 @@
 //!   on a client that left. A request line stalled mid-frame past
 //!   `--read-timeout-ms`, or a response write blocked past
 //!   `--write-timeout-ms`, closes the connection (`serve.timeouts`);
-//! * a fixed pool of **synthesis workers** drains the queue round-robin
-//!   across connections, so one flooding client cannot starve a polite
-//!   one. Every worker runs under `catch_unwind`, so a panicking job
-//!   answers `internal` instead of wedging its client;
+//! * each admitted request posts one task to the engine's **worker
+//!   pool**, at most `--jobs` threads that also run every batch's
+//!   helpers, so `--jobs` bounds the daemon's synthesis threads. A task
+//!   answers the queue's fairest job, round-robin across connections, so
+//!   one flooding client cannot starve a polite one. Each job runs under
+//!   `catch_unwind`, so a panicking job answers `internal` instead of
+//!   wedging its client;
 //! * per-request `deadline_ms` is checked at admission, at dequeue, and
 //!   between phases of multi-phase work;
 //! * `shutdown` starts a **graceful drain**: no new connections or
@@ -57,7 +60,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked readers and workers poll the shutdown flag.
+/// How often blocked readers poll the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
 
 /// The load-aware `retry_after_ms` hint sent with `overloaded` and
@@ -129,11 +132,14 @@ impl FairQueue {
     }
 }
 
-/// State shared by the accept thread, readers, and workers.
+/// State shared by the accept thread, readers, and pool tasks.
 struct Shared {
     engine: Engine,
     queue: Mutex<FairQueue>,
-    available: Condvar,
+    /// Admitted jobs not yet answered, queued or running.
+    unanswered: Mutex<usize>,
+    /// Signalled when `unanswered` falls to zero.
+    answered: Condvar,
     queue_depth: usize,
     max_conns: usize,
     read_timeout: Duration,
@@ -171,8 +177,8 @@ impl Shared {
     }
 
     /// Starts the graceful drain: arms the drain deadline, flips the
-    /// shutdown flag, wakes the workers, and unblocks the accept call
-    /// with one throwaway connection.
+    /// shutdown flag, and unblocks the accept call with one throwaway
+    /// connection.
     fn begin_shutdown(&self) {
         {
             let mut deadline = lock_unpoisoned(&self.drain_deadline);
@@ -182,7 +188,6 @@ impl Shared {
             }
         }
         self.shutdown.store(true, Ordering::SeqCst);
-        self.available.notify_all();
         let _ = TcpStream::connect(self.addr);
     }
 
@@ -195,8 +200,9 @@ impl Shared {
     }
 
     /// Whether the drain window closed long enough ago (two poll
-    /// periods) that the workers must have exited — the reader's cue to
-    /// self-answer a still-queued job rather than wait forever.
+    /// periods) that a queued job's answer is overdue: the pool is stuck
+    /// on work that outlived the window, and the reader answers for it
+    /// rather than wait on it.
     fn drain_long_expired(&self) -> bool {
         let deadline = *lock_unpoisoned(&self.drain_deadline);
         // rchls-lint: allow(wall-clock, reason = "drain-window enforcement is inherently wall-time; results never encode it")
@@ -214,17 +220,17 @@ impl Shared {
 /// The running daemon.
 pub struct Server;
 
-/// A started server: its bound address plus the join handles a clean
-/// exit waits on.
+/// A started server: its bound address plus what a clean exit waits
+/// on.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    accept: JoinHandle<()>,
 }
 
 impl Server {
-    /// Binds `config.addr` and starts the accept loop and worker pool.
+    /// Binds `config.addr` and starts the accept loop. Synthesis runs on
+    /// the engine's worker pool, which starts its threads on demand.
     ///
     /// # Errors
     ///
@@ -240,11 +246,11 @@ impl Server {
                 .map_err(|e| std::io::Error::other(e.to_string()))?;
             engine = engine.with_store(Arc::new(store));
         }
-        let workers = engine.jobs();
         let shared = Arc::new(Shared {
             engine,
             queue: Mutex::new(FairQueue::new()),
-            available: Condvar::new(),
+            unanswered: Mutex::new(0),
+            answered: Condvar::new(),
             queue_depth: config.queue_depth,
             max_conns: config.max_conns,
             read_timeout: Duration::from_millis(config.read_timeout_ms),
@@ -256,12 +262,6 @@ impl Server {
             next_conn_id: AtomicU64::new(0),
             addr,
         });
-        let worker_handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&listener, &shared))
@@ -269,8 +269,7 @@ impl Server {
         Ok(ServerHandle {
             addr,
             shared,
-            accept: Some(accept),
-            workers: worker_handles,
+            accept,
         })
     }
 }
@@ -288,14 +287,21 @@ impl ServerHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Waits for the accept loop and every worker to exit. Call after
-    /// [`ServerHandle::shutdown`] or once a client has sent `shutdown`.
-    pub fn join(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+    /// Waits for the accept loop to exit and for every admitted job to
+    /// be answered. Call after [`ServerHandle::shutdown`] or once a
+    /// client has sent `shutdown`.
+    pub fn join(self) {
+        let _ = self.accept.join();
+        let mut unanswered = lock_unpoisoned(&self.shared.unanswered);
+        while *unanswered > 0 {
+            unanswered = self
+                .shared
+                .answered
+                .wait(unanswered)
+                .unwrap_or_else(|poisoned| {
+                    obs::lock_poisoned().incr();
+                    poisoned.into_inner()
+                });
         }
     }
 }
@@ -398,6 +404,13 @@ fn serve_connection(
                     let line = await_pending(&mut stream, &mut buf, shared, pending)?;
                     write_response(&mut stream, &line)?;
                 }
+                Handled::Shutdown(line) => {
+                    // Answer first: once the drain begins, the daemon may
+                    // exit as soon as its admitted jobs are answered.
+                    let written = write_response(&mut stream, &line);
+                    shared.begin_shutdown();
+                    return written;
+                }
             }
         }
         match stream.read(&mut chunk) {
@@ -438,11 +451,12 @@ fn serve_connection(
 }
 
 /// What handling one request line produced: a finished response line,
-/// or a queued heavy job the reader must await while watching its
-/// socket.
+/// a queued heavy job the reader must await while watching its socket,
+/// or the `shutdown` answer, to write before the drain begins.
 enum Handled {
     Line { line: String, keep_going: bool },
     Pending(Pending),
+    Shutdown(String),
 }
 
 /// A queued heavy request as the reader sees it: the reply channel plus
@@ -456,10 +470,10 @@ struct Pending {
 
 /// Waits for a queued job's response line while watching the socket:
 /// pipelined bytes are buffered for the next frame, a disconnect
-/// cancels the job (`serve.abandoned_requests`) so no worker answers
+/// cancels the job (`serve.abandoned_requests`) so no pool task answers
 /// nobody, and a drain window long past due is self-answered with a
-/// `shutdown` error so the reader cannot hang on workers that already
-/// exited.
+/// `shutdown` error so the reader cannot hang on work that outlived the
+/// window.
 fn await_pending(
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
@@ -481,7 +495,7 @@ fn await_pending(
                 break protocol::error_line(
                     &pending.id,
                     ErrorKind::Internal,
-                    "worker dropped the request",
+                    "the pool dropped the request",
                     None,
                 );
             }
@@ -574,11 +588,9 @@ fn handle_line(shared: &Arc<Shared>, conn_id: u64, line: &str) -> Handled {
         "flows" => (Ok(flows_result()), true),
         "metrics" => (Ok(metrics_result(shared)), true),
         "shutdown" => {
-            shared.begin_shutdown();
-            (
-                Ok(Value::Map(vec![(key("stopping"), Value::Bool(true))])),
-                false,
-            )
+            let stopping = Value::Map(vec![(key("stopping"), Value::Bool(true))]);
+            obs::request_micros().record(received.elapsed().as_micros() as u64);
+            return Handled::Shutdown(protocol::ok_line(&id, stopping));
         }
         "synth" | "batch" | "sweep" | "pareto" => {
             return match admit(shared, conn_id, request, deadline, received) {
@@ -614,8 +626,8 @@ fn handle_line(shared: &Arc<Shared>, conn_id: u64, line: &str) -> Handled {
 }
 
 /// Admission control for heavy methods: reject on an already-expired
-/// deadline or a full queue, otherwise queue the job and hand back the
-/// [`Pending`] the reader awaits.
+/// deadline or a full queue, otherwise queue the job, post one pool task
+/// to answer it, and hand back the [`Pending`] the reader awaits.
 fn admit(
     shared: &Arc<Shared>,
     conn_id: u64,
@@ -655,8 +667,10 @@ fn admit(
             cancelled: Arc::clone(&cancelled),
             reply,
         });
-        shared.available.notify_one();
     }
+    *lock_unpoisoned(&shared.unanswered) += 1;
+    let task = Arc::clone(shared);
+    shared.engine.post(move || answer_next(&task));
     Ok(Pending {
         id,
         received,
@@ -665,73 +679,60 @@ fn admit(
     })
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let job = {
-            let mut queue = lock_unpoisoned(&shared.queue);
-            loop {
-                if let Some(job) = queue.pop() {
-                    break job;
-                }
-                if shared.shutting_down() {
-                    return;
-                }
-                queue = shared
-                    .available
-                    .wait_timeout(queue, POLL)
-                    .unwrap_or_else(|poisoned| {
-                        obs::lock_poisoned().incr();
-                        poisoned.into_inner()
-                    })
-                    .0;
-            }
-        };
-        if job.cancelled.load(Ordering::SeqCst) {
-            // The client left; the reader already counted the
-            // abandonment. Don't compute an answer for nobody.
-            continue;
-        }
-        let id = job.request.id.clone();
-        // Deadline check at dequeue: don't start work that can no
-        // longer answer in time.
-        let line = if shared.shutting_down() && shared.drain_expired() {
-            protocol::error_line(
-                &id,
-                ErrorKind::Shutdown,
-                "drain window expired before the request ran",
-                Some(shared.retry_hint()),
-            )
-        } else if expired(job.deadline) {
-            obs::rejected_deadline().incr();
-            protocol::error_line(
-                &id,
-                ErrorKind::DeadlineExceeded,
-                "deadline expired while queued",
-                None,
-            )
-        } else {
-            let line = match catch_unwind(AssertUnwindSafe(|| {
-                // Only `panic` and `delay` are cataloged for this
-                // point; an injected panic unwinds to this boundary
-                // like any worker bug would.
-                let _ = rchls_chaos::faultpoint!("serve.worker.exec");
-                execute(shared, &job)
-            })) {
-                Ok(line) => line,
-                Err(_) => protocol::error_line(
-                    &id,
-                    ErrorKind::Internal,
-                    "synthesis worker panicked",
-                    None,
-                ),
-            };
-            if shared.shutting_down() {
-                obs::drained().incr();
-            }
-            line
-        };
-        let _ = job.reply.send(line);
+/// One pool task per admitted request: answers the queue's fairest job,
+/// which need not be the one the task was posted for.
+fn answer_next(shared: &Arc<Shared>) {
+    let Some(job) = lock_unpoisoned(&shared.queue).pop() else {
+        return;
+    };
+    // A cancelled job's client left, and its reader already counted the
+    // abandonment: no answer is computed for nobody.
+    if !job.cancelled.load(Ordering::SeqCst) {
+        let _ = job.reply.send(answer(shared, &job));
     }
+    let mut unanswered = lock_unpoisoned(&shared.unanswered);
+    *unanswered -= 1;
+    if *unanswered == 0 {
+        shared.answered.notify_all();
+    }
+}
+
+/// One dequeued job's response line.
+fn answer(shared: &Arc<Shared>, job: &QueuedJob) -> String {
+    let id = &job.request.id;
+    // Deadline check at dequeue: don't start work that can no longer
+    // answer in time.
+    if shared.shutting_down() && shared.drain_expired() {
+        return protocol::error_line(
+            id,
+            ErrorKind::Shutdown,
+            "drain window expired before the request ran",
+            Some(shared.retry_hint()),
+        );
+    }
+    if expired(job.deadline) {
+        obs::rejected_deadline().incr();
+        return protocol::error_line(
+            id,
+            ErrorKind::DeadlineExceeded,
+            "deadline expired while queued",
+            None,
+        );
+    }
+    let line = catch_unwind(AssertUnwindSafe(|| {
+        // Only `panic` and `delay` are cataloged for this point; an
+        // injected panic unwinds to this boundary like any synthesis bug
+        // would, including one re-raised from a batch's helper thread.
+        let _ = rchls_chaos::faultpoint!("serve.worker.exec");
+        execute(shared, job)
+    }))
+    .unwrap_or_else(|_| {
+        protocol::error_line(id, ErrorKind::Internal, "synthesis worker panicked", None)
+    });
+    if shared.shutting_down() {
+        obs::drained().incr();
+    }
+    line
 }
 
 /// Runs one heavy method to a complete response line.
@@ -751,7 +752,7 @@ fn execute(shared: &Arc<Shared>, job: &QueuedJob) -> String {
         "batch" => batch_result(shared, params, job.deadline),
         "sweep" => explore_result(shared, params, job.deadline, true),
         "pareto" => explore_result(shared, params, job.deadline, false),
-        // rchls-lint: allow(panic-in-serve, reason = "enqueue_and_wait only queues the four heavy methods, and the worker's catch_unwind still answers `internal` if that ever breaks")
+        // rchls-lint: allow(panic-in-serve, reason = "admit only queues the four heavy methods, and the pool task's catch_unwind still answers `internal` if that ever breaks")
         other => unreachable!("only heavy methods are queued, got {other:?}"),
     };
     match result {

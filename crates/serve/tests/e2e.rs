@@ -742,3 +742,186 @@ fn latency_bounds_past_the_limit_get_one_reply_and_the_daemon_serves_on() {
     handle.shutdown();
     handle.join();
 }
+
+/// The overlapping runs of one test strategy and the threads they ran
+/// on.
+struct Census {
+    active: usize,
+    peak: usize,
+    threads: Vec<std::thread::ThreadId>,
+    panicked: bool,
+}
+
+impl Census {
+    const EMPTY: Census = Census {
+        active: 0,
+        peak: 0,
+        threads: Vec::new(),
+        panicked: false,
+    };
+
+    /// Counts one run starting on this thread.
+    fn enter(&mut self) {
+        self.active += 1;
+        self.peak = self.peak.max(self.active);
+        self.threads.push(std::thread::current().id());
+    }
+
+    fn distinct_threads(&self) -> usize {
+        let threads: std::collections::HashSet<_> = self.threads.iter().collect();
+        threads.len()
+    }
+}
+
+fn baseline(
+    request: &rchls_core::SynthRequest<'_>,
+) -> Result<rchls_core::SynthReport, rchls_core::SynthesisError> {
+    rchls_core::flow::strategy("baseline").unwrap().run(request)
+}
+
+/// A `batch` request of `strategy` on `builtin:figure4a` at area 4, one
+/// job per latency bound.
+fn batch_params(strategy: &str, latencies: impl IntoIterator<Item = u32>) -> Value {
+    let jobs: Vec<SynthJob> = latencies
+        .into_iter()
+        .map(|l| SynthJob::new("builtin:figure4a", l, 4).with_strategy(strategy))
+        .collect();
+    Value::Map(vec![(key("jobs"), serde_json::to_value(&jobs))])
+}
+
+#[test]
+fn the_daemon_runs_at_most_jobs_syntheses_at_once() {
+    static SLEEPS: std::sync::Mutex<Census> = std::sync::Mutex::new(Census::EMPTY);
+    /// Sleeps 20 ms under the census, then answers as `baseline`.
+    struct Sleepy;
+    impl rchls_core::Strategy for Sleepy {
+        fn id(&self) -> &str {
+            "e2e-sleep-20ms"
+        }
+        fn run(
+            &self,
+            request: &rchls_core::SynthRequest<'_>,
+        ) -> Result<rchls_core::SynthReport, rchls_core::SynthesisError> {
+            SLEEPS.lock().unwrap().enter();
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            SLEEPS.lock().unwrap().active -= 1;
+            baseline(request)
+        }
+    }
+    let _ = rchls_core::flow::register_strategy(std::sync::Arc::new(Sleepy));
+
+    // Four connections each send a 4-job batch at once, every job at
+    // distinct bounds, so none joins another's computation.
+    let (handle, addr) = start(ephemeral(2, 16));
+    let clients: Vec<_> = (0..4u32)
+        .map(|conn| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let params = batch_params("e2e-sleep-20ms", (0..4).map(|job| 6 + 4 * conn + job));
+                let mut client = Client::connect(&addr).unwrap();
+                client.call("batch", Some(&params), None).unwrap()
+            })
+        })
+        .collect();
+    for client in clients {
+        let doc = client.join().unwrap();
+        assert!(response_result(&doc).is_some(), "{doc:?}");
+    }
+    handle.shutdown();
+    handle.join();
+    let census = SLEEPS.lock().unwrap();
+    assert_eq!(census.threads.len(), 16);
+    assert!(census.peak <= 2, "{} syntheses at once", census.peak);
+    assert!(
+        census.distinct_threads() <= 2,
+        "syntheses ran on {} threads",
+        census.distinct_threads()
+    );
+}
+
+#[test]
+fn a_panic_on_a_batch_helper_answers_internal_and_the_helper_lives_on() {
+    static RUNS: (std::sync::Mutex<Census>, std::sync::Condvar) = (
+        std::sync::Mutex::new(Census::EMPTY),
+        std::sync::Condvar::new(),
+    );
+    /// What a run does once counted: `Hold` waits for the panic, `Panic`
+    /// panics, `Meet` waits until two runs overlap. Each wait gives up
+    /// after ten seconds.
+    enum Act {
+        Hold,
+        Panic,
+        Meet,
+    }
+    struct Probe(&'static str, Act);
+    impl rchls_core::Strategy for Probe {
+        fn id(&self) -> &str {
+            self.0
+        }
+        fn run(
+            &self,
+            request: &rchls_core::SynthRequest<'_>,
+        ) -> Result<rchls_core::SynthReport, rchls_core::SynthesisError> {
+            let (census, changed) = &RUNS;
+            let mut runs = census.lock().unwrap();
+            runs.enter();
+            let timeout = std::time::Duration::from_secs(10);
+            let mut runs = match self.1 {
+                Act::Panic => {
+                    runs.panicked = true;
+                    changed.notify_all();
+                    drop(runs);
+                    panic!("synthetic helper panic");
+                }
+                Act::Hold => {
+                    let wait = changed.wait_timeout_while(runs, timeout, |r| !r.panicked);
+                    wait.unwrap().0
+                }
+                Act::Meet => {
+                    changed.notify_all();
+                    let wait = changed.wait_timeout_while(runs, timeout, |r| r.peak < 2);
+                    wait.unwrap().0
+                }
+            };
+            runs.active -= 1;
+            drop(runs);
+            baseline(request)
+        }
+    }
+    for (id, act) in [
+        ("e2e-hold-until-panic", Act::Hold),
+        ("e2e-panic", Act::Panic),
+        ("e2e-meet", Act::Meet),
+    ] {
+        let _ = rchls_core::flow::register_strategy(std::sync::Arc::new(Probe(id, act)));
+    }
+
+    let (handle, addr) = start(ephemeral(2, 4));
+    let mut client = Client::connect(&addr).unwrap();
+    // The batch's caller holds the first job until the second has
+    // panicked, so the panic happens on the pool's other thread.
+    let jobs: Vec<SynthJob> = [("e2e-hold-until-panic", 6), ("e2e-panic", 7)]
+        .into_iter()
+        .map(|(id, l)| SynthJob::new("builtin:figure4a", l, 4).with_strategy(id))
+        .collect();
+    let params = Value::Map(vec![(key("jobs"), serde_json::to_value(&jobs))]);
+    let doc = client.call("batch", Some(&params), None).unwrap();
+    assert_eq!(response_error_kind(&doc), Some("internal"), "{doc:?}");
+    {
+        let mut runs = RUNS.0.lock().unwrap();
+        assert!(runs.panicked);
+        assert_eq!(runs.distinct_threads(), 2, "the panic ran on a helper");
+        *runs = Census::EMPTY;
+    }
+    // The helper thread survived: the next batch still runs two-way.
+    let doc = client
+        .call("batch", Some(&batch_params("e2e-meet", [6, 7])), None)
+        .unwrap();
+    assert!(response_result(&doc).is_some(), "{doc:?}");
+    let runs = RUNS.0.lock().unwrap();
+    assert_eq!(runs.peak, 2, "the second batch ran two-way");
+    assert_eq!(runs.distinct_threads(), 2);
+    drop(runs);
+    handle.shutdown();
+    handle.join();
+}
