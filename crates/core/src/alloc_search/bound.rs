@@ -18,6 +18,11 @@
 //! A row whose critical path already exceeds `Ld` leaves some node with
 //! slack below its fastest delay, so the relaxation — and with it every
 //! allocation sharing the row — is infeasible.
+//!
+//! Once the row is fixed, the classes no longer interact: the bound is
+//! the product, in class order, of one [`SlackBound::factor`] per class,
+//! each a function of that class's unit counts alone. The search's order
+//! (`order.rs`) computes each count vector's factor once per row.
 
 use super::{class_slot, SLOTS};
 use rchls_dfg::{Dfg, NodeId};
@@ -37,14 +42,16 @@ struct BoundVersion {
 /// dropped); `None` when the row's critical path exceeds the bound.
 type SlackProfile = Option<[Vec<(u32, u64)>; SLOTS]>;
 
-/// One memoized class-min row: its slack profile and, per class, the
-/// unit counts the class's greedy last ran on with its result.
-/// Allocations arrive in enumeration order, so consecutive ones mostly
-/// share the counts of every class but the last.
+/// One class-min row and its slack profile.
 #[derive(Debug)]
 struct SlackRow {
     key: [u32; SLOTS],
     profile: SlackProfile,
+    /// Per class, the unit counts [`SlackBound::upper_bound`] last ran the
+    /// class's greedy on, with its result. Allocations arrive in
+    /// enumeration order, so consecutive ones mostly share the counts of
+    /// every class but the last.
+    #[cfg(test)]
     last: [(Vec<u32>, Option<f64>); SLOTS],
 }
 
@@ -66,7 +73,7 @@ pub(super) struct SlackBound<'a> {
 }
 
 impl<'a> SlackBound<'a> {
-    /// A bound over allocations of `versions` (a lattice's version list)
+    /// A bound over allocations of `versions` (the search's version list)
     /// for `dfg` at latency bound `latency`. `topo` is a topological
     /// order of `dfg` and `node_class` each node's class slot.
     pub(super) fn new(
@@ -115,11 +122,58 @@ impl<'a> SlackBound<'a> {
         }
     }
 
+    /// The memo slot of class-min row `key`, whose slack profile is
+    /// computed the first time the row is asked for.
+    pub(super) fn row(&mut self, key: [u32; SLOTS]) -> usize {
+        if let Some(row) = self.rows.iter().position(|row| row.key == key) {
+            return row;
+        }
+        let profile = self.slack_profile(&key);
+        self.rows.push(SlackRow {
+            key,
+            profile,
+            #[cfg(test)]
+            last: Default::default(),
+        });
+        self.rows.len() - 1
+    }
+
+    /// Class `class`'s factor of the bound on row `row` (a slot from
+    /// [`SlackBound::row`]) when the allocation runs `count(j)` units of
+    /// each version `j` of the class: the relaxation's optimum for the
+    /// class's nodes, or `None` when the row's critical path exceeds the
+    /// bound or the class's nodes cannot all be placed. A class the graph
+    /// does not use has no nodes and no versions, so its factor is 1.
+    pub(super) fn factor(
+        &mut self,
+        row: usize,
+        class: usize,
+        count: impl Fn(usize) -> u32,
+    ) -> Option<f64> {
+        let SlackBound {
+            versions,
+            by_reliability,
+            rows,
+            left,
+            ..
+        } = self;
+        let buckets = &rows[row].profile.as_ref()?[class];
+        let offered = by_reliability[class].iter().filter_map(|&j| {
+            let count = u64::from(count(j));
+            let v = &versions[j];
+            (count > 0).then_some((v.reliability, v.delay, count * v.per_unit))
+        });
+        nested_slack_greedy(buckets, offered, left)
+    }
+
     /// The bound for the allocation with per-version unit `counts` (in
-    /// lattice version order, every class the graph uses present):
-    /// `None` when no schedule on it can meet the latency bound, else a
-    /// value no design scheduled on it exceeds (up to the floating-point
-    /// rounding of the product, which the search's margin absorbs).
+    /// version-list order, every class the graph uses present): `None`
+    /// when no schedule on it can meet the latency bound, else a value no
+    /// design scheduled on it exceeds (up to the floating-point rounding
+    /// of the product, which the search's margin absorbs). The search
+    /// takes the same product from per-class factors; this per-allocation
+    /// form is the oracle its order is tested against.
+    #[cfg(test)]
     pub(super) fn upper_bound(&mut self, counts: &[u32]) -> Option<f64> {
         let mut key = [u32::MAX; SLOTS];
         for (version, &count) in self.versions.iter().zip(counts) {
@@ -127,41 +181,22 @@ impl<'a> SlackBound<'a> {
                 key[version.class] = key[version.class].min(version.delay);
             }
         }
-        let row = match self.rows.iter().position(|row| row.key == key) {
-            Some(row) => row,
-            None => {
-                let profile = self.slack_profile(&key);
-                self.rows.push(SlackRow {
-                    key,
-                    profile,
-                    last: Default::default(),
-                });
-                self.rows.len() - 1
-            }
-        };
-        let SlackRow { profile, last, .. } = &mut self.rows[row];
-        let profile = profile.as_ref()?;
+        let row = self.row(key);
         let mut bound = 1.0;
-        for (class, buckets) in profile.iter().enumerate() {
-            if buckets.is_empty() {
+        for class in 0..SLOTS {
+            if self.rows[row].profile.as_ref()?[class].is_empty() {
                 continue;
             }
             let order = &self.by_reliability[class];
-            let (seen, factor) = &mut last[class];
+            let (seen, _) = &self.rows[row].last[class];
             let unchanged = seen.len() == order.len()
                 && order.iter().zip(seen.iter()).all(|(&j, &c)| counts[j] == c);
             if !unchanged {
-                seen.clear();
-                seen.extend(order.iter().map(|&j| counts[j]));
-                let versions = &self.versions;
-                let offered = order.iter().filter_map(|&j| {
-                    let count = u64::from(counts[j]);
-                    let v = &versions[j];
-                    (count > 0).then_some((v.reliability, v.delay, count * v.per_unit))
-                });
-                *factor = nested_slack_greedy(buckets, offered, &mut self.left);
+                let seen = order.iter().map(|&j| counts[j]).collect();
+                let factor = self.factor(row, class, |j| counts[j]);
+                self.rows[row].last[class] = (seen, factor);
             }
-            bound *= (*factor)?;
+            bound *= self.rows[row].last[class].1?;
         }
         Some(bound)
     }

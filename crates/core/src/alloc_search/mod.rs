@@ -13,13 +13,24 @@
 //! # The enumeration and its cap
 //!
 //! Allocations are enumerated in lexicographic order of their unit counts
-//! (versions in library order, each count rising from zero), with no more
-//! units of a class than the graph has operations of it; allocations
-//! missing a class the graph uses are dropped. The lattice is not small:
-//! at L=8/A=64 the `random:{64x6,64x8,96x8}` graphs of 64–96 nodes hold
-//! 163k–227k allocations. The enumeration therefore stops after the first
-//! 200 000 raw allocations. A capped search covers exactly that prefix
-//! and reports it through [`Diagnostics::alloc_cap_hit`].
+//! (versions class by class, in library order, each count rising from
+//! zero), with no more units of a version than the graph has operations
+//! of its class; allocations missing a class the graph uses are dropped.
+//! The lattice is not small: at L=8/A=64 the `random:{64x6,64x8,96x8}`
+//! graphs of 64–96 nodes hold 163k–227k allocations. The enumeration
+//! therefore stops after the first 200 000 raw allocations: the leaves of
+//! the lexicographic walk, counted before allocations missing a class are
+//! dropped. A capped search covers exactly that prefix and reports it
+//! through [`Diagnostics::alloc_cap_hit`].
+//!
+//! The search never stores the lattice. An allocation is one count vector
+//! per class, and the lexicographic order walks the first class's vectors
+//! and, under each, the second class's vectors that still fit. So the
+//! second class's vectors are listed once (289 multiplier vectors on
+//! `random:64x8@0` at L=8/A=64), and the first class's are walked one by
+//! one only until the raw count reaches the cap (4 586 adder vectors
+//! there). [`enumerate_allocations_with_cap`] still materializes the same
+//! prefix for the reference search and for callers that want the list.
 //!
 //! # The search
 //!
@@ -38,7 +49,9 @@
 //!   nodes it can; the slack profiles are memoized per distinct
 //!   fastest-delay row) bounds every design the allocation can
 //!   schedule. An allocation whose relaxation is infeasible is never
-//!   scheduled.
+//!   scheduled. Under a fixed row the bound is a product of per-class
+//!   factors, so each count vector's factor is computed once per row
+//!   rather than once per allocation.
 //! * **Best-first order and an incumbent prune.** Allocations are visited
 //!   by descending bound; the scan stops at the first whose bound, less
 //!   a floating-point margin, falls below the incumbent's reliability.
@@ -92,8 +105,11 @@
 //!
 //! # The shared scan
 //!
-//! A search is prepared once — the lattice enumerated, bounded and
-//! sorted — and then scanned by any number of participants together:
+//! A search is prepared once — its allocations walked class by class,
+//! each bounded as a product of two cached per-class factors, and
+//! counting-sorted by bound, since bounds take few distinct values
+//! (`order.rs`) — and then scanned by any number of participants
+//! together:
 //!
 //! * an atomic cursor hands out fixed-size chunks of the bound-sorted
 //!   order, each scanned in order by one participant with its own
@@ -139,12 +155,12 @@
 //! `alloc_search.scheduled` (list-scheduling runs made),
 //! `alloc_search.early_exits` (those runs cut short),
 //! `alloc_search.family_hits` (allocations a family record answered) and
-//! `alloc_search.bound_pruned` (the rest of the lattice, which the bound
-//! kept out of the scan). A helper can schedule an allocation that a
-//! lone scan would have pruned — an incumbent found in another chunk
-//! reaches it too late — or answered from a record it does not hold, so
-//! the counters repeat exactly only when no two identical searches
-//! overlap.
+//! `alloc_search.bound_pruned` (the rest of the enumerated allocations,
+//! which the bound kept out of the scan). A helper can schedule an
+//! allocation that a lone scan would have pruned — an incumbent found in
+//! another chunk reaches it too late — or answered from a record it does
+//! not hold, so the counters repeat exactly only when no two identical
+//! searches overlap.
 
 use crate::bounds::Bounds;
 use crate::flow::Diagnostics;
@@ -159,6 +175,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 mod bound;
+mod order;
 mod reference;
 
 pub use reference::{best_allocation_design_reference, schedule_on_allocation_reference};
@@ -874,7 +891,7 @@ pub(crate) fn best_allocation_design_shared(
     let span = rchls_telemetry::span!(timed: "alloc");
     let _record_on_exit = AllocPhaseTimer(&span);
     let (search, mut scratch) = AllocSearch::prepare(dfg, library, bounds)?;
-    diagnostics.alloc_cap_hit |= search.lattice.capped;
+    diagnostics.alloc_cap_hit |= search.order.capped;
     let search = Arc::new(search);
     open(Arc::clone(&search));
     search.scan(dfg, library, &mut scratch);
@@ -926,10 +943,9 @@ impl Drop for Member<'_> {
 #[derive(Debug)]
 pub(crate) struct AllocSearch {
     bounds: Bounds,
-    lattice: Lattice,
-    /// `(bound, enumeration index)` of every allocation the bound leaves
-    /// feasible, highest bound first, ties by index.
-    order: Vec<(f64, usize)>,
+    /// Every admitted allocation the bound leaves feasible, highest bound
+    /// first, ties by enumeration index.
+    order: order::Order,
     /// Worst-case relative rounding slack of the bound product vs the
     /// exact fold `design_reliability` performs.
     margin: f64,
@@ -951,8 +967,8 @@ pub(crate) struct AllocSearch {
 }
 
 impl AllocSearch {
-    /// Enumerates the lattice and sorts it by bound. Returns the search
-    /// and the preparing thread's scratch, or `None` for a cyclic graph.
+    /// Builds the bound-sorted order. Returns the search and the
+    /// preparing thread's scratch, or `None` for a cyclic graph.
     fn prepare(
         dfg: &Dfg,
         library: &Library,
@@ -962,26 +978,11 @@ impl AllocSearch {
         if !scratch.prepare(dfg, library) {
             return None;
         }
-        let lattice = Lattice::enumerate(dfg, library, bounds.area);
-        let mut order: Vec<(f64, usize)> = {
-            let mut bound = bound::SlackBound::new(
-                dfg,
-                &scratch.topo,
-                &scratch.node_class,
-                library,
-                &lattice.versions,
-                bounds.latency,
-            );
-            (0..lattice.rows)
-                .filter_map(|idx| bound.upper_bound(lattice.row(idx)).map(|ub| (ub, idx)))
-                .collect()
-        };
         // Highest bound first; enumeration index breaks ties so the naive
         // scan's tie winner (smallest index) is met first.
-        order.sort_unstable_by(|(ua, ia), (ub, ib)| ub.total_cmp(ua).then(ia.cmp(ib)));
+        let order = order::Order::build(dfg, library, bounds, &scratch.topo, &scratch.node_class);
         let search = AllocSearch {
             bounds,
-            lattice,
             order,
             margin: 1.0 - (dfg.node_count() as f64 + 8.0) * 4.0 * f64::EPSILON,
             cursor: AtomicUsize::new(0),
@@ -1047,16 +1048,20 @@ impl AllocSearch {
         scratch: &mut AllocScratch,
         tally: &mut Tally,
     ) -> bool {
-        for &(ub, idx) in &self.order[positions] {
+        let mut row = Vec::new();
+        for entry in self.order.entries(positions) {
             // Bounds only fall from here on, and the incumbent only rises.
-            if ub < f64::from_bits(self.best_rel.load(Ordering::Relaxed)) * self.margin {
+            if self.order.bound(entry)
+                < f64::from_bits(self.best_rel.load(Ordering::Relaxed)) * self.margin
+            {
                 return false;
             }
+            let idx = entry.index();
             if idx > self.ceiling.load(Ordering::Relaxed) {
                 continue;
             }
-            let row = self.lattice.row(idx);
-            let family = scratch.families.find(row);
+            self.order.counts(entry, &mut row);
+            let family = scratch.families.find(&row);
             if let Some(record) = family {
                 // The run would repeat a recorded one. A complete run
                 // that could still become the incumbent is made again:
@@ -1070,12 +1075,12 @@ impl AllocSearch {
                 }
             }
             tally.scheduled += 1;
-            scratch.load(library, self.lattice.allocation(idx));
+            scratch.load(library, self.order.allocation(&row));
             let (listing, rel) = scratch.run(dfg, library, self.bounds.latency);
             if family.is_none() {
                 scratch
                     .families
-                    .record(row, &scratch.blocks, (listing, rel));
+                    .record(&row, &scratch.blocks, (listing, rel));
             }
             match listing {
                 Listing::Complete => {}
@@ -1141,7 +1146,7 @@ impl AllocSearch {
         let scheduled = self.scheduled.load(Ordering::Relaxed);
         let family_hits = self.family_hits.load(Ordering::Relaxed);
         crate::obs::alloc_search_bound_pruned()
-            .add((self.lattice.rows as u64).saturating_sub(scheduled + family_hits));
+            .add((self.order.rows as u64).saturating_sub(scheduled + family_hits));
         crate::obs::alloc_search_scheduled().add(scheduled);
         crate::obs::alloc_search_family_hits().add(family_hits);
         crate::obs::alloc_search_early_exits().add(self.cut.load(Ordering::Relaxed));
@@ -1403,10 +1408,11 @@ mod tests {
             let (search, mut scratch) = AllocSearch::prepare(&dfg, &lib, bounds).unwrap();
             // The design of the run behind each record, by record slot.
             let mut designs: Vec<Option<Design>> = vec![None; FAMILY_WINDOW];
-            for &(_, idx) in &search.order {
-                let row = search.lattice.row(idx);
-                let family = scratch.families.find(row);
-                scratch.load(&lib, search.lattice.allocation(idx));
+            let mut row = Vec::new();
+            for entry in search.order.entries(0..search.order.len()) {
+                search.order.counts(entry, &mut row);
+                let family = scratch.families.find(&row);
+                scratch.load(&lib, search.order.allocation(&row));
                 let (listing, rel) = scratch.run(&dfg, &lib, bounds.latency);
                 let design = match listing {
                     Listing::Complete => scratch.design(&dfg, &lib),
@@ -1416,7 +1422,7 @@ mod tests {
                     designs[scratch.families.next] = design;
                     scratch
                         .families
-                        .record(row, &scratch.blocks, (listing, rel));
+                        .record(&row, &scratch.blocks, (listing, rel));
                     continue;
                 };
                 answered += 1;
@@ -1544,6 +1550,216 @@ mod tests {
             });
             assert_eq!(design, reference, "{spec} at {bounds}");
         }
+    }
+
+    /// The oracle order: the lattice enumerated, every row bounded by the
+    /// per-allocation form, and the feasible rows sorted by comparison,
+    /// highest bound first, ties by index.
+    fn oracle_order(dfg: &Dfg, lib: &Library, bounds: Bounds) -> (Lattice, Vec<(f64, usize)>) {
+        let mut scratch = AllocScratch::default();
+        assert!(scratch.prepare(dfg, lib));
+        let lattice = Lattice::enumerate(dfg, lib, bounds.area);
+        let mut bound = bound::SlackBound::new(
+            dfg,
+            &scratch.topo,
+            &scratch.node_class,
+            lib,
+            &lattice.versions,
+            bounds.latency,
+        );
+        let mut order: Vec<(f64, usize)> = (0..lattice.rows)
+            .filter_map(|idx| bound.upper_bound(lattice.row(idx)).map(|ub| (ub, idx)))
+            .collect();
+        order.sort_unstable_by(|(ua, ia), (ub, ib)| ub.total_cmp(ua).then(ia.cmp(ib)));
+        (lattice, order)
+    }
+
+    /// Builds the class-factored order and holds it to the oracle's
+    /// position by position. Returns the order.
+    fn assert_order_matches_the_oracle(
+        name: &str,
+        dfg: &Dfg,
+        lib: &Library,
+        bounds: Bounds,
+    ) -> order::Order {
+        let (lattice, expected) = oracle_order(dfg, lib, bounds);
+        let mut scratch = AllocScratch::default();
+        assert!(scratch.prepare(dfg, lib));
+        let order = order::Order::build(dfg, lib, bounds, &scratch.topo, &scratch.node_class);
+        let at = format!("{name} at {bounds}");
+        assert_eq!(order.capped, lattice.capped, "{at}: capped");
+        assert_eq!(order.rows, lattice.rows, "{at}: rows");
+        assert_eq!(order.len(), expected.len(), "{at}: feasible allocations");
+        let mut row = Vec::new();
+        let entries = order.entries(0..order.len());
+        for (position, (entry, &(ub, idx))) in entries.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                (order.bound(entry).to_bits(), entry.index()),
+                (ub.to_bits(), idx),
+                "{at}: position {position}"
+            );
+            order.counts(entry, &mut row);
+            assert_eq!(row, lattice.row(idx), "{at}: position {position}");
+            assert!(
+                order
+                    .allocation(&row)
+                    .filter(|&(_, count)| count > 0)
+                    .eq(lattice.allocation(idx)),
+                "{at}: position {position}"
+            );
+        }
+        order
+    }
+
+    /// A random layered graph whose operations are all multiplies.
+    fn multiplies(nodes: usize, layers: usize, seed: u64) -> Dfg {
+        rchls_workloads::random_layered_dfg(&rchls_workloads::RandomDfgConfig {
+            nodes,
+            layers,
+            seed,
+            multiplier_fraction: 1.0,
+            ..Default::default()
+        })
+    }
+
+    /// A library of `(name, class, area, delay, reliability)` rows.
+    fn library(rows: &[(&str, OpClass, u32, u32, f64)]) -> Library {
+        let versions = rows.iter().map(|&(name, class, area, delay, reliability)| {
+            let reliability = rchls_relmath::Reliability::new(reliability).unwrap();
+            rchls_reslib::ResourceVersion::new(name, class, area, delay, reliability)
+        });
+        Library::new(versions.collect()).unwrap()
+    }
+
+    #[test]
+    fn the_class_factored_order_is_the_sorted_lattice() {
+        let lib = Library::table1();
+        let mut cases: Vec<(String, Dfg, Library, Bounds)> = kernel_corpus()
+            .into_iter()
+            .map(|(spec, dfg, bounds)| (spec, dfg, lib.clone(), bounds))
+            .collect();
+        let corners = [
+            ("random:32x5@0", 8, 64),
+            ("random:64x6@0", 8, 64),
+            ("random:64x8@0", 8, 64),
+            ("random:96x8@0", 8, 64),
+            ("random:64x8@0", 12, 128),
+            ("random:48x4@11", 12, 300),
+        ];
+        for (spec, latency, area) in corners {
+            let dfg = rchls_workloads::load_workload(spec).unwrap().dfg;
+            cases.push((
+                spec.to_owned(),
+                dfg,
+                lib.clone(),
+                Bounds::new(latency, area),
+            ));
+        }
+        for bounds in [Bounds::new(4, 4), Bounds::new(3, 12), Bounds::new(2, 9)] {
+            cases.push(("pair".to_owned(), pair(), lib.clone(), bounds));
+        }
+        for bounds in [Bounds::new(8, 24), Bounds::new(6, 40), Bounds::new(14, 12)] {
+            cases.push((
+                "25 multiplies".to_owned(),
+                multiplies(25, 4, 1),
+                lib.clone(),
+                bounds,
+            ));
+        }
+        // One adder version, and two multiplier versions of equal delay.
+        let custom = library(&[
+            ("mul_a", OpClass::Multiplier, 2, 2, 0.999),
+            ("add", OpClass::Adder, 2, 1, 0.99),
+            ("mul_b", OpClass::Multiplier, 3, 2, 0.985),
+        ]);
+        for (spec, latency, area) in [
+            ("random:24x4@5", 8, 16),
+            ("random:24x4@5", 12, 30),
+            ("builtin:diffeq", 6, 14),
+            ("random:64x8@0", 10, 40),
+        ] {
+            let dfg = rchls_workloads::load_workload(spec).unwrap().dfg;
+            cases.push((
+                spec.to_owned(),
+                dfg,
+                custom.clone(),
+                Bounds::new(latency, area),
+            ));
+        }
+        // A library without one of the graph's classes covers nothing.
+        let adders_only = library(&[("add", OpClass::Adder, 1, 1, 0.99)]);
+        let dfg = rchls_workloads::load_workload("random:24x4@5").unwrap().dfg;
+        cases.push((
+            "random:24x4@5".to_owned(),
+            dfg,
+            adders_only,
+            Bounds::new(8, 16),
+        ));
+        let mut capped = 0;
+        for (name, dfg, lib, bounds) in &cases {
+            let order = assert_order_matches_the_oracle(name, dfg, lib, *bounds);
+            capped += usize::from(order.capped);
+        }
+        // The two larger areas and three of the four corners.
+        assert_eq!(capped, 5);
+    }
+
+    #[test]
+    fn a_capped_inner_list_caps_the_order() {
+        // Four unit-area multipliers and 25 multiplies: more multiplier
+        // vectors than the cap, all under the zero adder vector.
+        let lib = library(&[
+            ("add", OpClass::Adder, 1, 1, 0.99),
+            ("m1", OpClass::Multiplier, 1, 3, 0.999),
+            ("m2", OpClass::Multiplier, 1, 2, 0.99),
+            ("m3", OpClass::Multiplier, 1, 2, 0.98),
+            ("m4", OpClass::Multiplier, 1, 1, 0.95),
+        ]);
+        let order = assert_order_matches_the_oracle(
+            "25 multiplies",
+            &multiplies(25, 4, 1),
+            &lib,
+            Bounds::new(12, 100),
+        );
+        assert!(order.capped);
+        assert_eq!(order.outer_vectors(), 1);
+    }
+
+    #[test]
+    fn the_outer_walk_stops_at_the_cap() {
+        let lib = Library::table1();
+        let dfg = rchls_workloads::load_workload("random:512x16@2005")
+            .unwrap()
+            .dfg;
+        let bounds = Bounds::new(64, 256);
+        let mut scratch = AllocScratch::default();
+        assert!(scratch.prepare(&dfg, &lib));
+        let order = order::Order::build(&dfg, &lib, bounds, &scratch.topo, &scratch.node_class);
+        assert!(order.capped);
+        // Count raw leaves by brute force over Table 1's three adders and
+        // two multipliers: the walk visits exactly the adder vectors the
+        // first `MAX_ALLOCATIONS` leaves run through.
+        let ops = |class| dfg.count_class(class) as u32;
+        let (adds, muls) = (ops(OpClass::Adder), ops(OpClass::Multiplier));
+        let multiplier_vectors = |room: u32| -> usize {
+            (0..=muls.min(room / 2))
+                .map(|m1| (muls.min((room - 2 * m1) / 4) + 1) as usize)
+                .sum()
+        };
+        let (mut raw, mut visited) = (0, 0);
+        'adders: for a1 in 0..=adds.min(bounds.area) {
+            for a2 in 0..=adds.min((bounds.area - a1) / 2) {
+                for a3 in 0..=adds.min((bounds.area - a1 - 2 * a2) / 4) {
+                    if raw >= MAX_ALLOCATIONS {
+                        break 'adders;
+                    }
+                    visited += 1;
+                    raw += multiplier_vectors(bounds.area - a1 - 2 * a2 - 4 * a3);
+                }
+            }
+        }
+        assert_eq!(order.outer_vectors(), visited);
+        assert!(visited < 200, "{visited} adder vectors");
     }
 
     #[test]

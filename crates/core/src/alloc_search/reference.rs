@@ -7,10 +7,14 @@
 //! that schedules. [`best_allocation_design_reference`] runs
 //! it on every enumerated allocation in enumeration order and keeps the
 //! first one attaining the maximum reliability, with no bound, no
-//! ordering, and no pruning. The two share only the enumeration with the
-//! optimized search, so a bug in any bound, exit, or pick shows up as a
-//! divergence instead of cancelling out. The `greedy-reference` refine
-//! pass builds its portfolio through this search.
+//! ordering, and no pruning. It enumerates through
+//! [`super::enumerate_allocations_with_cap`], which the optimized search
+//! does not call (that search walks its allocations class by class), so
+//! the two share only the cap's value, and a bug in the walk or in any
+//! bound, exit, or pick shows up as a divergence instead of cancelling
+//! out. The
+//! `greedy-reference` refine pass builds its portfolio through this
+//! search.
 
 use super::enumerate_allocations_with_cap;
 use crate::bounds::Bounds;

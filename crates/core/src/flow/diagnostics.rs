@@ -31,10 +31,13 @@ pub struct Diagnostics {
     /// Replication moves committed by redundancy insertion.
     pub redundancy_moves: u32,
     /// Whether the allocation-first search hit its enumeration cap and
-    /// therefore searched a *truncated* candidate set (see
-    /// [`crate::alloc_search::enumerate_allocations_with_cap`]). A pure
-    /// function of the inputs — it survives scrubbing — so downstream
-    /// consumers can tell a complete search from a capped one.
+    /// therefore searched a *truncated* candidate set: the lexicographic
+    /// enumeration has more than 200 000 raw allocations (counted before
+    /// those missing a used class are dropped), and only that prefix,
+    /// which [`crate::alloc_search::enumerate_allocations_with_cap`]
+    /// lists, was searched. A pure function of the inputs — it survives
+    /// scrubbing — so downstream consumers can tell a complete search from
+    /// a capped one.
     pub alloc_cap_hit: bool,
     /// Scheduler-pass invocations across the run (deterministic).
     pub sched_calls: u32,
