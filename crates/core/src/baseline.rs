@@ -1,4 +1,4 @@
-//! The redundancy-based prior art (Orailoglu–Karri [3]) the paper
+//! The redundancy-based prior art (Orailoglu–Karri \[3\]) the paper
 //! compares against: the algorithm behind [`crate::flow::Baseline`].
 
 use crate::design::Design;

@@ -13,7 +13,7 @@
 //!
 //! The cache is owned by the session [`SynthCache`](crate::engine::SynthCache)
 //! alongside the scratch pool and travels to every
-//! [`Synthesizer`](crate::Synthesizer) through the
+//! [`Synthesizer`] through the
 //! [`SynthRequest`](crate::SynthRequest), so engine batches, explorer
 //! sweeps, and CLI sweeps all share one pool table per session.
 //!

@@ -164,3 +164,164 @@ pub(crate) fn save(
         Err(_) => crate::obs::store_write_failures().incr(),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{BatchReport, Engine, SynthJob};
+    use rchls_reslib::Library;
+    use serde::json::Reader;
+    use serde::Value;
+    use std::sync::Arc;
+
+    /// Reads `text` as a `T` straight from the text, with no tree and no
+    /// fallback, and through a `Value` tree; both must succeed and agree.
+    fn decode_both_routes<T: Deserialize + PartialEq + std::fmt::Debug>(text: &str) -> T {
+        let mut r = Reader::new(text);
+        let typed = T::from_json(&mut r)
+            .and_then(|v| r.end().map(|()| v))
+            .unwrap_or_else(|e| panic!("typed read: {e}"));
+        let tree = serde_json::from_str::<Value>(text)
+            .and_then(T::from_owned_value)
+            .unwrap_or_else(|e| panic!("tree route: {e}"));
+        assert_eq!(typed, tree);
+        typed
+    }
+
+    /// The five builtins and the five random graphs the `warm_replay`
+    /// benchmark stores, under every strategy it asks for, plus a point
+    /// per graph and strategy that no design meets.
+    fn stored_points() -> Vec<SynthJob> {
+        let strategies = ["ours", "combined", "baseline"];
+        let feasible = [
+            ("builtin:fir16", 12, 8),
+            ("builtin:fir16", 10, 12),
+            ("builtin:ewf", 17, 16),
+            ("builtin:ewf", 14, 20),
+            ("builtin:diffeq", 6, 11),
+            ("builtin:diffeq", 8, 8),
+            ("builtin:ar-lattice", 16, 16),
+            ("builtin:ar-lattice", 12, 24),
+            ("builtin:butterfly8", 8, 24),
+            ("random:64x6@2001", 16, 16),
+            ("random:96x8@2002", 24, 24),
+            ("random:128x8@2003", 20, 32),
+        ];
+        let mut jobs: Vec<SynthJob> = feasible
+            .into_iter()
+            .flat_map(|(spec, l, a)| strategies.map(|s| SynthJob::new(spec, l, a).with_strategy(s)))
+            .collect();
+        for spec in ["random:256x16@2004", "random:512x16@2005"] {
+            jobs.push(SynthJob::new(spec, 64, 256).with_strategy("baseline"));
+        }
+        let graphs = [
+            "builtin:fir16",
+            "builtin:ewf",
+            "builtin:diffeq",
+            "builtin:ar-lattice",
+            "builtin:butterfly8",
+            "random:64x6@2001",
+            "random:96x8@2002",
+            "random:128x8@2003",
+            "random:256x16@2004",
+            "random:512x16@2005",
+        ];
+        for spec in graphs {
+            jobs.extend(strategies.map(|s| SynthJob::new(spec, 2, 2).with_strategy(s)));
+        }
+        jobs
+    }
+
+    #[test]
+    fn stored_entries_decode_typed_to_the_tree_value() {
+        let root =
+            std::env::temp_dir().join(format!("rchls-core-typed-decode-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = Arc::new(ResultStore::open(&root).expect("temp store opens"));
+        let engine = Engine::new(Library::table1()).with_store(Arc::clone(&store));
+        let results = engine.synth_batch(&stored_points());
+        let keys = store.keys();
+        assert!(keys.len() >= results.len(), "{} objects", keys.len());
+        let mut infeasible = 0;
+        for key in keys {
+            let Lookup::Hit(payload) = store.load(key) else {
+                panic!("object {key:016x} does not load");
+            };
+            let entry: StoredEntry = decode_both_routes(&payload);
+            let decoded = decode_entry(&payload).expect("payload decodes");
+            assert_eq!(decoded, entry);
+            // Budgeted caches count capacity: both routes size alike.
+            let tree =
+                serde_json::from_str::<Value>(&payload).and_then(StoredEntry::from_owned_value);
+            let bytes = |e: &StoredEntry| e.report.as_ref().map(SynthReport::approx_bytes);
+            assert_eq!(bytes(&decoded), bytes(&tree.expect("tree route")));
+            assert_eq!(encode_entry(&entry), payload);
+            infeasible += usize::from(entry.report.is_none());
+        }
+        assert_eq!(infeasible, results.iter().filter(|r| r.is_err()).count());
+        assert!(infeasible > 0);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn the_example_batch_report_decodes_typed_to_the_tree_value() {
+        let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+        let text = std::fs::read_to_string(format!("{examples}/batch_jobs.json"))
+            .expect("examples/batch_jobs.json reads")
+            .replace("file:examples/", &format!("file:{examples}/"));
+        let jobs: Vec<SynthJob> = decode_both_routes(&text);
+        let report = Engine::new(Library::table1()).run_batch(&jobs);
+        assert!(report.outcomes.iter().all(|o| o.error.is_none()));
+        for json in [
+            serde_json::to_string(&report).expect("renders"),
+            serde_json::to_string_pretty(&report).expect("renders"),
+        ] {
+            assert_eq!(decode_both_routes::<BatchReport>(&json), report);
+        }
+    }
+
+    /// The malformed documents of `serde_json`'s reference test.
+    const MALFORMED: &[&str] = &[
+        "",
+        "{",
+        "[1,]",
+        "[1 2]",
+        "{\"a\" 1}",
+        "{\"a\": 1,}",
+        "{1: 2}",
+        "12 34",
+        "nulle",
+        "tru",
+        "-",
+        "1.2.3",
+        "-18446744073709551616",
+        "18446744073709551616",
+        "\"abc",
+        "\"a\\",
+        "\"\\x\"",
+        "\"\\u12\"",
+        "\"\\u12é\"",
+        "\"\\uzzzz\"",
+        "\"\\u+041\"",
+        "\"\\ud83d\"",
+        "\"\\ude00\"",
+        "\"raw\ncontrol\"",
+    ];
+
+    #[test]
+    fn malformed_text_fails_with_the_tree_routes_error() {
+        fn tree<T: Deserialize>(text: &str) -> Result<T, String> {
+            serde_json::from_str::<Value>(text)
+                .and_then(T::from_owned_value)
+                .map_err(|e| e.to_string())
+        }
+        for text in MALFORMED {
+            let entry = serde_json::from_str::<StoredEntry>(text).map_err(|e| e.to_string());
+            assert_eq!(entry, tree::<StoredEntry>(text), "{text:?}");
+            assert!(entry.is_err(), "{text:?}");
+            let jobs = serde_json::from_str::<Vec<SynthJob>>(text).map_err(|e| e.to_string());
+            assert_eq!(jobs, tree::<Vec<SynthJob>>(text), "{text:?}");
+            assert!(jobs.is_err(), "{text:?}");
+        }
+    }
+}

@@ -5,7 +5,7 @@
 //! Every pass is identified by a stable string id (see
 //! [`FlowSpec`](crate::FlowSpec) for the built-in table). Out-of-tree
 //! crates implement a trait and register the instance once with the
-//! matching `register_*` function in [`crate::flow`]; any [`FlowSpec`]
+//! matching `register_*` function in [`crate::flow`]; any [`FlowSpec`](crate::FlowSpec)
 //! naming the new id then composes it, with no changes to `rchls-core`.
 
 use crate::bounds::Bounds;

@@ -235,7 +235,7 @@ impl Strategy for Ours {
 ///    `Ld` and its binder shares units maximally, giving the base
 ///    allocation and its area.
 /// 3. Any area left under `Ad` is spent on modular redundancy
-///    ([`add_redundancy_with_model`](crate::add_redundancy_with_model)).
+///    ([`add_redundancy_with_model`]).
 ///
 /// [`Strategy::run`] fails with [`SynthesisError::Library`] if a class
 /// the graph uses has no versions, and with
@@ -355,7 +355,7 @@ impl Strategy for Combined {
 /// The registered instance runs at the *automatic* interval
 /// `max(1, Ld / 2)`; [`Pipelined::with_ii`] pins an explicit one. Both
 /// are registry ids too, `pipelined@auto` and `pipelined@ii=N` (see
-/// [`strategy`](crate::flow::strategy)). The interval participates in
+/// [`strategy`](fn@crate::flow::strategy)). The interval participates in
 /// [`Strategy::fingerprint_token`], so cached runs at different
 /// intervals never collide.
 ///

@@ -90,7 +90,7 @@ table_handle!(
 
 counter_handle!(
     /// `synth_cache.key_prefixes` — `(DFG, library)` cache-key prefixes
-    /// computed for reuse ([`crate::engine::KeyPrefix::new`]): one per
+    /// computed for reuse (`engine::cache::KeyPrefix::new`): one per
     /// workload an engine interns and per explored task. One-off full
     /// keys (`CacheKey::for_point`) are not counted.
     synth_cache_key_prefixes, "synth_cache.key_prefixes");

@@ -9,7 +9,7 @@
 //! arenas total instead of re-allocating per point.
 //!
 //! The pool is wired through the stack automatically: every
-//! [`SynthCache`](crate::SynthCache) owns one (so the engine's batches,
+//! [`SynthCache`](crate::engine::SynthCache) owns one (so the engine's batches,
 //! the explorer's sweeps, and the CLI's sweep/pareto/batch commands all
 //! pool), and [`SynthRequest`](crate::SynthRequest) carries an optional
 //! pool reference for strategies to hand to the

@@ -5,7 +5,7 @@
 //! three strategies, and compare. This crate turns that one-off pattern
 //! into reusable sweeps over the session [`Engine`](rchls_core::Engine):
 //!
-//! * [`explore`] — turns each [`ExploreTask`] (a workload spec plus its
+//! * [`explore`](fn@explore) — turns each [`ExploreTask`] (a workload spec plus its
 //!   grid) into engine jobs and runs them through
 //!   [`Engine::synth_batch`](rchls_core::Engine::synth_batch), so a sweep
 //!   shares the engine's interned workloads, its fingerprint cache and

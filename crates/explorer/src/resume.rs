@@ -130,7 +130,7 @@ impl CheckpointedSweep<'_> {
     ///
     /// Returns an [`EngineError`] before any synthesis when the task's
     /// spec or a pass id in the flow does not resolve (matching
-    /// [`crate::explore`]'s contract).
+    /// [`crate::explore`](fn@crate::explore)'s contract).
     ///
     /// # Panics
     ///

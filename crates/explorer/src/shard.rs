@@ -86,7 +86,7 @@ pub fn shard_indices(grid_len: usize, index: u32, count: u32) -> Vec<usize> {
 /// # Errors
 ///
 /// Returns an [`EngineError`] before any synthesis when the task's spec
-/// or a pass id in `flow` does not resolve (matching [`crate::explore`]'s
+/// or a pass id in `flow` does not resolve (matching [`crate::explore`](fn@crate::explore)'s
 /// contract).
 ///
 /// # Panics

@@ -6,7 +6,7 @@
 //! spreads operations across the steps so the number of functional units is
 //! minimized. This crate provides:
 //!
-//! * [`asap`] / [`alap`] — the classic mobility-window bounds;
+//! * [`asap`](fn@asap) / [`alap`](fn@alap) — the classic mobility-window bounds;
 //! * [`schedule_density`] — the paper's partition-density scheduler
 //!   (schedule each op into its least-dense feasible partition, Sec. 6);
 //! * [`schedule_force_directed`] — Paulin–Knight force-directed scheduling,

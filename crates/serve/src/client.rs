@@ -157,9 +157,12 @@ impl Client {
     ///
     /// Returns an I/O error when the connection drops or times out.
     pub fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        if !line.ends_with('\n') {
-            self.stream.write_all(b"\n")?;
+        // One write for line and newline: under `TCP_NODELAY` each write
+        // goes out as a segment of its own.
+        if line.ends_with('\n') {
+            self.stream.write_all(line.as_bytes())?;
+        } else {
+            self.stream.write_all(format!("{line}\n").as_bytes())?;
         }
         loop {
             if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {

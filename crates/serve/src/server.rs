@@ -345,11 +345,13 @@ fn would_block(e: &std::io::Error) -> bool {
     )
 }
 
-/// Writes one response line, with the `serve.conn.write` injection
-/// point applied first (a `disconnect` fault tears the line mid-write).
-/// A write blocked past `--write-timeout-ms` counts as `serve.timeouts`
-/// and closes the connection.
-fn write_response(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
+/// Writes one response line and its newline in one call (under
+/// `TCP_NODELAY` each call is a segment of its own), with the
+/// `serve.conn.write` injection point applied first (a `disconnect`
+/// fault tears the line mid-write). A write blocked past
+/// `--write-timeout-ms` counts as `serve.timeouts` and closes the
+/// connection.
+fn write_response(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
     match rchls_chaos::faultpoint!("serve.conn.write") {
         Some(rchls_chaos::Fault::Disconnect) => {
             let _ = stream.write_all(&line.as_bytes()[..line.len() / 2]);
@@ -358,9 +360,8 @@ fn write_response(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
         Some(_) => return Err(rchls_chaos::injected_io_error("serve.conn.write")),
         None => {}
     }
-    let write = stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"));
+    line.push('\n');
+    let write = stream.write_all(line.as_bytes());
     if let Err(e) = &write {
         if would_block(e) {
             obs::timeouts().incr();
@@ -395,19 +396,19 @@ fn serve_connection(
             }
             match handle_line(shared, conn_id, line.trim()) {
                 Handled::Line { line, keep_going } => {
-                    write_response(&mut stream, &line)?;
+                    write_response(&mut stream, line)?;
                     if !keep_going {
                         return Ok(());
                     }
                 }
                 Handled::Pending(pending) => {
                     let line = await_pending(&mut stream, &mut buf, shared, pending)?;
-                    write_response(&mut stream, &line)?;
+                    write_response(&mut stream, line)?;
                 }
                 Handled::Shutdown(line) => {
                     // Answer first: once the drain begins, the daemon may
                     // exit as soon as its admitted jobs are answered.
-                    let written = write_response(&mut stream, &line);
+                    let written = write_response(&mut stream, line);
                     shared.begin_shutdown();
                     return written;
                 }
@@ -440,7 +441,7 @@ fn serve_connection(
                             "request line stalled mid-frame (read timeout)",
                             None,
                         );
-                        let _ = write_response(&mut stream, &line);
+                        let _ = write_response(&mut stream, line);
                         return Ok(());
                     }
                 }
