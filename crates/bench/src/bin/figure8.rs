@@ -1,9 +1,11 @@
 //! Regenerates **Figure 8**: the FIR filter's reliability as a function of
 //! (a) the latency bound at fixed area and (b) the area bound at fixed
-//! latency, under the reliability-centric approach.
+//! latency, under the reliability-centric approach, computed through the
+//! session engine.
 
 use rchls_bench::{figure8a_sweep, figure8b_sweep};
-use rchls_core::explore::{reliability_vs_area, reliability_vs_latency};
+use rchls_core::{Engine, FlowSpec, RedundancyModel};
+use rchls_explorer::{explore, ExploreTask};
 use rchls_reslib::Library;
 
 fn bar(r: Option<f64>) -> String {
@@ -17,21 +19,41 @@ fn bar(r: Option<f64>) -> String {
 }
 
 fn main() {
-    let dfg = rchls_workloads::fir16();
-    let library = Library::table1();
-
     let (area, latencies) = figure8a_sweep();
+    let (latency, areas) = figure8b_sweep();
+    // Each curve fixes one bound, so the sweep's feasibility inheritance
+    // runs along the other bound alone.
+    let tasks = [
+        ExploreTask::new(
+            "builtin:fir16",
+            latencies.iter().map(|&l| (l, area)).collect(),
+        ),
+        ExploreTask::new(
+            "builtin:fir16",
+            areas.iter().map(|&a| (latency, a)).collect(),
+        ),
+    ];
+    let exploration = explore(
+        &Engine::new(Library::table1()),
+        &tasks,
+        &FlowSpec::default(),
+        RedundancyModel::default(),
+    )
+    .expect("the FIR filter resolves under the default flow");
+    let [by_latency, by_area] = &exploration.sweeps[..] else {
+        unreachable!("one sweep per task");
+    };
+
     println!("== Figure 8(a): reliability vs latency bound (Ad = {area}) ==\n");
     println!("{:>8}  reliability", "Ld");
-    for (l, r) in reliability_vs_latency(&dfg, &library, area, &latencies) {
-        println!("{l:>8}  {}", bar(r));
+    for row in &by_latency.rows {
+        println!("{:>8}  {}", row.latency_bound, bar(row.ours));
     }
 
-    let (latency, areas) = figure8b_sweep();
     println!("\n== Figure 8(b): reliability vs area bound (Ld = {latency}) ==\n");
     println!("{:>8}  reliability", "Ad");
-    for (a, r) in reliability_vs_area(&dfg, &library, latency, &areas) {
-        println!("{a:>8}  {}", bar(r));
+    for row in &by_area.rows {
+        println!("{:>8}  {}", row.area_bound, bar(row.ours));
     }
 
     println!(

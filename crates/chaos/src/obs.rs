@@ -2,17 +2,11 @@
 //! `rchls-serve`'s obs module: one registry lookup per metric per
 //! process, atomics on the hot path).
 
-use rchls_telemetry::metrics::{self, Counter};
-use std::sync::{Arc, OnceLock};
+use rchls_telemetry::counter_handle;
 
-/// `chaos.evaluations` — armed-plan evaluations of any point.
-pub(crate) fn evaluations() -> &'static Counter {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    HANDLE.get_or_init(|| metrics::counter("chaos.evaluations"))
-}
-
-/// `chaos.injected` — rule firings (faults actually performed).
-pub(crate) fn injected() -> &'static Counter {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    HANDLE.get_or_init(|| metrics::counter("chaos.injected"))
-}
+counter_handle!(
+    /// `chaos.evaluations` — armed-plan evaluations of any point.
+    evaluations, "chaos.evaluations");
+counter_handle!(
+    /// `chaos.injected` — rule firings (faults actually performed).
+    injected, "chaos.injected");

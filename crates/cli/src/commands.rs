@@ -958,10 +958,15 @@ pub fn serve(args: &ParsedArgs, check: bool) -> Result<String, CliError> {
     config.validate().map_err(|reason| {
         // The validation messages name their own flag; attribute the
         // error to the one they mention (default: the address).
-        let flag = ["max-conns", "read-timeout-ms", "write-timeout-ms"]
-            .into_iter()
-            .find(|f| reason.contains(f))
-            .unwrap_or("addr");
+        let flag = [
+            "queue-depth",
+            "max-conns",
+            "read-timeout-ms",
+            "write-timeout-ms",
+        ]
+        .into_iter()
+        .find(|f| reason.contains(f))
+        .unwrap_or("addr");
         CliError::BadValue {
             flag: flag.to_owned(),
             reason,

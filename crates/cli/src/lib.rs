@@ -934,6 +934,15 @@ mod tests {
         assert!(err.to_string().contains("nonsense"));
         let err = run(&s(&["serve", "--check", "--cache-budget", "lots"])).unwrap_err();
         assert!(err.to_string().contains("cache budget"));
+        // A zero queue depth or connection cap would refuse all work, and
+        // the error names the flag that set it.
+        for flag in ["--queue-depth", "--max-conns"] {
+            let err = run(&s(&["serve", "--check", flag, "0"])).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("bad value for {flag}: {flag} must be at least 1")
+            );
+        }
     }
 
     #[test]

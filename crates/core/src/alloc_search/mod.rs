@@ -103,64 +103,45 @@
 //!   it repeats a record, so it is not recorded again. Every record
 //!   comes from a real run, so every answer is exact at any window size.
 //!
-//! # The shared scan
+//! # The scan
 //!
 //! A search is prepared once — its allocations walked class by class,
 //! each bounded as a product of two cached per-class factors, and
 //! counting-sorted by bound, since bounds take few distinct values
-//! (`order.rs`) — and then scanned by any number of participants
-//! together:
+//! (`order.rs`) — and then scanned in that order by the thread that
+//! prepared it, with one scratch and one window of run families. The
+//! session's allocation cache runs each distinct search once: a caller
+//! that misses on a search another thread is running waits for its
+//! answer.
 //!
-//! * an atomic cursor hands out fixed-size chunks of the bound-sorted
-//!   order, each scanned in order by one participant with its own
-//!   scratch;
-//! * the incumbent `(reliability, enumeration index, design)` sits under
-//!   a mutex, and its reliability is mirrored in an atomic for the prune
-//!   test, as is its index while it is a ceiling design;
-//! * a participant whose prune fires closes the cursor, and the search
-//!   returns once every participant has left;
-//! * each participant keeps its own run families in its scratch, so the
-//!   memo takes no locks and answers only from runs its owner made.
-//!
-//! [`best_allocation_design`] is this scan with one participant, so it
-//! schedules exactly the allocations it always did. The session's
-//! allocation cache opens a leading search to callers that miss on the
-//! same key while it runs: each helps scan under an `alloc` span of its
-//! own, so traces book helper time as allocation time.
-//!
-//! The answer does not depend on the number of participants or on how
-//! their chunks interleave. The winner is the allocation with maximum
-//! reliability and, among those, the minimum enumeration index — the
-//! maximum of a total order on `(reliability, index)`, which the
-//! incumbent update keeps whatever order candidates arrive in. So the
-//! answer is the same as long as the winner itself is scheduled by some
-//! participant, and neither skip can drop it:
+//! The winner is the allocation with maximum reliability and, among
+//! those, the minimum enumeration index — the maximum of a total order on
+//! `(reliability, index)`. The scan visits allocations by bound, not by
+//! index, so a later position can tie the incumbent and win on a smaller
+//! index; the incumbent update applies the whole order. The answer is
+//! therefore the reference's as long as the winner itself is scheduled,
+//! and neither skip can drop it:
 //!
 //! * the incumbent prune fires only when `ub < incumbent × margin`, and
-//!   the bound is sound (`rel ≤ ub / margin`). Every incumbent, stale or
-//!   not, is a scheduled design no more reliable than the winner, so the
-//!   winner's `ub ≥ rel × margin ≥ incumbent × margin` never prunes. A
-//!   prune at one position also rules out every later one, since bounds
-//!   fall along the order and the incumbent only rises, so closing the
-//!   cursor skips only chunks that nobody could have needed;
+//!   the bound is sound (`rel ≤ ub / margin`). Every incumbent is a
+//!   scheduled design no more reliable than the winner, so the winner's
+//!   `ub ≥ rel × margin ≥ incumbent × margin` never prunes. A prune at one
+//!   position also rules out every later one, since bounds fall along the
+//!   order and the incumbent only rises, so the scan stops there;
 //! * the ceiling skip drops only larger indices than a scheduled design
 //!   that gives every node its class's most reliable version. No design
 //!   evaluates above such a design, so the winner ties it and has an
 //!   index no larger.
-//!
-//! A participant that unwinds mid-chunk may leave positions unscanned;
-//! the leader then scans the whole order once more before it returns.
 //!
 //! The search records four always-on counters per run:
 //! `alloc_search.scheduled` (list-scheduling runs made),
 //! `alloc_search.early_exits` (those runs cut short),
 //! `alloc_search.family_hits` (allocations a family record answered) and
 //! `alloc_search.bound_pruned` (the rest of the enumerated allocations,
-//! which the bound kept out of the scan). A helper can schedule an
-//! allocation that a lone scan would have pruned — an incumbent found in
-//! another chunk reaches it too late — or answered from a record it does
-//! not hold, so the counters repeat exactly only when no two identical
-//! searches overlap.
+//! which the bound kept out of the scan). One thread makes every run of a
+//! search in a fixed order, so the counters depend only on the search's
+//! inputs; through the session cache, they repeat exactly at any worker
+//! count.
 
 use crate::bounds::Bounds;
 use crate::flow::Diagnostics;
@@ -170,9 +151,6 @@ use rchls_relmath::serial_reliability;
 use rchls_reslib::{Library, VersionId};
 use rchls_sched::Schedule;
 use std::cmp::Reverse;
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 
 mod bound;
 mod order;
@@ -722,10 +700,10 @@ impl AllocScratch {
     }
 }
 
-/// Runs one participant remembers: the window a family lookup searches.
+/// Runs the scan remembers: the window a family lookup searches.
 const FAMILY_WINDOW: usize = 64;
 
-/// One participant's most recent list-scheduling runs, each kept as the
+/// The scan's most recent list-scheduling runs, each kept as the
 /// family of allocations that would repeat it (see "Run families" in the
 /// module docs): per version, the range of unit counts that answers every
 /// free-unit check of the run the same way.
@@ -863,85 +841,22 @@ pub fn best_allocation_design(dfg: &Dfg, library: &Library, bounds: Bounds) -> O
 /// `diagnostics` — whether the enumeration cap truncated the candidate
 /// set ([`Diagnostics::alloc_cap_hit`]), so a capped search is reported
 /// instead of silently presenting a partial optimum as the global one.
-///
-/// This is the shared scan of the module docs with one participant.
 pub fn best_allocation_design_diag(
     dfg: &Dfg,
     library: &Library,
     bounds: Bounds,
     diagnostics: &mut Diagnostics,
 ) -> Option<Design> {
-    best_allocation_design_shared(dfg, library, bounds, diagnostics, |_| {}, || {})
-}
-
-/// [`best_allocation_design_diag`] that lets other threads help: `open`
-/// receives the prepared search once its order is built, so callers
-/// waiting on the same answer can [`AllocSearch::help`] scan it, and
-/// `close` runs once this thread's own scan has run out of chunks. The
-/// search then waits for its helpers and returns the same design as a
-/// lone scan.
-pub(crate) fn best_allocation_design_shared(
-    dfg: &Dfg,
-    library: &Library,
-    bounds: Bounds,
-    diagnostics: &mut Diagnostics,
-    open: impl FnOnce(Arc<AllocSearch>),
-    close: impl FnOnce(),
-) -> Option<Design> {
     let span = rchls_telemetry::span!(timed: "alloc");
     let _record_on_exit = AllocPhaseTimer(&span);
     let (search, mut scratch) = AllocSearch::prepare(dfg, library, bounds)?;
     diagnostics.alloc_cap_hit |= search.order.capped;
-    let search = Arc::new(search);
-    open(Arc::clone(&search));
-    search.scan(dfg, library, &mut scratch);
-    close();
-    search.finish(dfg, library, &mut scratch)
+    search.scan(dfg, library, &mut scratch)
 }
 
-/// Positions of the bound-sorted order a participant takes at a time.
-const CHUNK: usize = 64;
-
-/// Allocations one participant list-scheduled, how many of those runs
-/// were cut short, and how many allocations a family record answered.
-#[derive(Debug, Default)]
-struct Tally {
-    scheduled: u64,
-    cut: u64,
-    family_hits: u64,
-}
-
-/// Who is scanning a search right now, and whether anyone unwound.
-#[derive(Debug, Default)]
-struct Members {
-    active: usize,
-    panicked: bool,
-}
-
-/// A participant's membership in a scan. Leaving — also by unwinding —
-/// wakes the search's leader.
-struct Member<'a>(&'a AllocSearch);
-
-impl<'a> Member<'a> {
-    fn enter(search: &'a AllocSearch) -> Member<'a> {
-        crate::sync::lock_unpoisoned(&search.members).active += 1;
-        Member(search)
-    }
-}
-
-impl Drop for Member<'_> {
-    fn drop(&mut self) {
-        let mut members = crate::sync::lock_unpoisoned(&self.0.members);
-        members.active -= 1;
-        members.panicked |= std::thread::panicking();
-        self.0.left.notify_all();
-    }
-}
-
-/// A prepared allocation search that any number of threads scan
-/// together (see "The shared scan" in the module docs).
+/// A prepared allocation search (see "The scan" in the module docs).
 #[derive(Debug)]
-pub(crate) struct AllocSearch {
+struct AllocSearch {
     bounds: Bounds,
     /// Every admitted allocation the bound leaves feasible, highest bound
     /// first, ties by enumeration index.
@@ -949,26 +864,11 @@ pub(crate) struct AllocSearch {
     /// Worst-case relative rounding slack of the bound product vs the
     /// exact fold `design_reliability` performs.
     margin: f64,
-    /// The next position of `order` to hand out.
-    cursor: AtomicUsize,
-    /// The incumbent: `(reliability, enumeration index, design)`.
-    best: Mutex<Option<(f64, usize, Design)>>,
-    /// The incumbent's reliability as `f64` bits (−∞ while there is
-    /// none), read by the prune test without the lock.
-    best_rel: AtomicU64,
-    /// The incumbent's enumeration index while it gives every node its
-    /// class's most reliable version, else `usize::MAX`.
-    ceiling: AtomicUsize,
-    members: Mutex<Members>,
-    left: Condvar,
-    scheduled: AtomicU64,
-    cut: AtomicU64,
-    family_hits: AtomicU64,
 }
 
 impl AllocSearch {
-    /// Builds the bound-sorted order. Returns the search and the
-    /// preparing thread's scratch, or `None` for a cyclic graph.
+    /// Builds the bound-sorted order. Returns the search and the scratch
+    /// to scan it with, or `None` for a cyclic graph.
     fn prepare(
         dfg: &Dfg,
         library: &Library,
@@ -985,79 +885,30 @@ impl AllocSearch {
             bounds,
             order,
             margin: 1.0 - (dfg.node_count() as f64 + 8.0) * 4.0 * f64::EPSILON,
-            cursor: AtomicUsize::new(0),
-            best: Mutex::new(None),
-            best_rel: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            ceiling: AtomicUsize::new(usize::MAX),
-            members: Mutex::new(Members::default()),
-            left: Condvar::new(),
-            scheduled: AtomicU64::new(0),
-            cut: AtomicU64::new(0),
-            family_hits: AtomicU64::new(0),
         };
         Some((search, scratch))
     }
 
-    /// Helps scan this search from another thread, on `dfg` and
-    /// `library` — the same content the search was prepared on — under
-    /// an `alloc` span of its own.
-    pub(crate) fn help(&self, dfg: &Dfg, library: &Library) {
-        let _span = rchls_telemetry::span!("alloc");
-        let mut scratch = AllocScratch::default();
-        if scratch.prepare(dfg, library) {
-            self.scan(dfg, library, &mut scratch);
-        }
-    }
-
-    /// Scans chunks of the order until none is left or the prune ends
-    /// the scan.
-    fn scan(&self, dfg: &Dfg, library: &Library, scratch: &mut AllocScratch) {
-        let _member = Member::enter(self);
-        let mut tally = Tally::default();
-        while let Some(chunk) = self.next_chunk() {
-            if !self.scan_range(chunk, dfg, library, scratch, &mut tally) {
-                // Every later position is pruned as well.
-                self.cursor.fetch_max(self.order.len(), Ordering::Relaxed);
+    /// Scans the order until it runs out or the incumbent prune ends the
+    /// scan, records the search counters, and returns the winner.
+    fn scan(&self, dfg: &Dfg, library: &Library, scratch: &mut AllocScratch) -> Option<Design> {
+        // The incumbent: `(reliability, enumeration index, design)`.
+        let mut best: Option<(f64, usize, Design)> = None;
+        let mut best_rel = f64::NEG_INFINITY;
+        // The incumbent's enumeration index while it gives every node its
+        // class's most reliable version.
+        let mut ceiling = usize::MAX;
+        // List-scheduling runs made, those cut short, and allocations a
+        // family record answered.
+        let (mut scheduled, mut cut, mut family_hits) = (0u64, 0u64, 0u64);
+        let mut row = Vec::new();
+        for entry in self.order.entries(0..self.order.len()) {
+            // Bounds only fall from here on, and the incumbent only rises.
+            if self.order.bound(entry) < best_rel * self.margin {
                 break;
             }
-        }
-        self.settle(&tally);
-    }
-
-    /// Adds a participant's tally to the search's counts.
-    fn settle(&self, tally: &Tally) {
-        self.scheduled.fetch_add(tally.scheduled, Ordering::Relaxed);
-        self.cut.fetch_add(tally.cut, Ordering::Relaxed);
-        self.family_hits
-            .fetch_add(tally.family_hits, Ordering::Relaxed);
-    }
-
-    /// The next chunk of positions nobody has taken, if any.
-    fn next_chunk(&self) -> Option<Range<usize>> {
-        let from = self.cursor.fetch_add(CHUNK, Ordering::Relaxed);
-        (from < self.order.len()).then(|| from..(from + CHUNK).min(self.order.len()))
-    }
-
-    /// Scans `positions` of the order in turn. Returns `false` when the
-    /// incumbent prune fired, which rules out every later position too.
-    fn scan_range(
-        &self,
-        positions: Range<usize>,
-        dfg: &Dfg,
-        library: &Library,
-        scratch: &mut AllocScratch,
-        tally: &mut Tally,
-    ) -> bool {
-        let mut row = Vec::new();
-        for entry in self.order.entries(positions) {
-            // Bounds only fall from here on, and the incumbent only rises.
-            if self.order.bound(entry)
-                < f64::from_bits(self.best_rel.load(Ordering::Relaxed)) * self.margin
-            {
-                return false;
-            }
             let idx = entry.index();
-            if idx > self.ceiling.load(Ordering::Relaxed) {
+            if idx > ceiling {
                 continue;
             }
             self.order.counts(entry, &mut row);
@@ -1067,14 +918,12 @@ impl AllocSearch {
                 // that could still become the incumbent is made again:
                 // its design is built from the kernel's arrays.
                 let (listing, rel) = scratch.families.answers[record];
-                if listing != Listing::Complete
-                    || rel < f64::from_bits(self.best_rel.load(Ordering::Relaxed))
-                {
-                    tally.family_hits += 1;
+                if listing != Listing::Complete || rel < best_rel {
+                    family_hits += 1;
                     continue;
                 }
             }
-            tally.scheduled += 1;
+            scheduled += 1;
             scratch.load(library, self.order.allocation(&row));
             let (listing, rel) = scratch.run(dfg, library, self.bounds.latency);
             if family.is_none() {
@@ -1085,74 +934,41 @@ impl AllocSearch {
             match listing {
                 Listing::Complete => {}
                 Listing::Cut => {
-                    tally.cut += 1;
+                    cut += 1;
                     continue;
                 }
                 Listing::Failed => continue,
             }
-            if rel >= f64::from_bits(self.best_rel.load(Ordering::Relaxed)) {
-                self.offer(rel, idx, dfg, library, scratch);
+            // The (max reliability, first index) rule: a later position
+            // with a lower bound may tie and still win on index.
+            let better = best.as_ref().is_none_or(|&(_, best_idx, _)| {
+                rel > best_rel || (rel == best_rel && idx < best_idx)
+            });
+            if !better {
+                continue;
+            }
+            if let Some(design) = scratch.design(dfg, library) {
+                debug_assert!(design.2.total_area(library) <= self.bounds.area);
+                // The serial-product fold is monotone in each factor
+                // (replacing a factor with a larger one never decreases the
+                // rounded product), so no assignment evaluates above an
+                // all-most-reliable design: a later allocation can at best
+                // tie, and a tie only wins from a smaller index.
+                ceiling = if scratch.all_most_reliable() {
+                    idx
+                } else {
+                    usize::MAX
+                };
+                best_rel = rel;
+                best = Some((rel, idx, design));
             }
         }
-        true
-    }
-
-    /// Makes the complete run in `scratch` — allocation `idx`, reaching
-    /// `rel` — the incumbent if it wins the (max reliability, first
-    /// index) rule against the current one and its schedule validates.
-    fn offer(&self, rel: f64, idx: usize, dfg: &Dfg, library: &Library, scratch: &AllocScratch) {
-        let mut best = crate::sync::lock_unpoisoned(&self.best);
-        let better = best.as_ref().is_none_or(|(best_rel, best_idx, _)| {
-            rel > *best_rel || (rel == *best_rel && idx < *best_idx)
-        });
-        if !better {
-            return;
-        }
-        if let Some(design) = scratch.design(dfg, library) {
-            debug_assert!(design.2.total_area(library) <= self.bounds.area);
-            // The serial-product fold is monotone in each factor
-            // (replacing a factor with a larger one never decreases the
-            // rounded product), so no assignment evaluates above an
-            // all-most-reliable design: a later allocation can at best
-            // tie, and a tie only wins from a smaller index.
-            let ceiling = if scratch.all_most_reliable() {
-                idx
-            } else {
-                usize::MAX
-            };
-            self.ceiling.store(ceiling, Ordering::Relaxed);
-            self.best_rel.store(rel.to_bits(), Ordering::Relaxed);
-            *best = Some((rel, idx, design));
-        }
-    }
-
-    /// Waits until no participant is scanning, records the search
-    /// counters, and takes the winner. If a participant unwound, the
-    /// positions it held may be unscanned, so every position is scanned
-    /// again here; the incumbent stays valid throughout.
-    fn finish(&self, dfg: &Dfg, library: &Library, scratch: &mut AllocScratch) -> Option<Design> {
-        let panicked = {
-            let mut members = crate::sync::lock_unpoisoned(&self.members);
-            while members.active > 0 {
-                members = crate::sync::wait_unpoisoned(&self.left, members);
-            }
-            std::mem::take(&mut members.panicked)
-        };
-        if panicked {
-            let mut tally = Tally::default();
-            self.scan_range(0..self.order.len(), dfg, library, scratch, &mut tally);
-            self.settle(&tally);
-        }
-        let scheduled = self.scheduled.load(Ordering::Relaxed);
-        let family_hits = self.family_hits.load(Ordering::Relaxed);
         crate::obs::alloc_search_bound_pruned()
             .add((self.order.rows as u64).saturating_sub(scheduled + family_hits));
         crate::obs::alloc_search_scheduled().add(scheduled);
         crate::obs::alloc_search_family_hits().add(family_hits);
-        crate::obs::alloc_search_early_exits().add(self.cut.load(Ordering::Relaxed));
-        crate::sync::lock_unpoisoned(&self.best)
-            .take()
-            .map(|(.., design)| design)
+        crate::obs::alloc_search_early_exits().add(cut);
+        best.map(|(.., design)| design)
     }
 }
 
@@ -1478,77 +1294,50 @@ mod tests {
         }
     }
 
-    /// Runs the shared search on `threads` participants started together
-    /// on a barrier, returning its design and cap flag.
-    fn shared_search(
+    /// Runs the search on `threads` threads started together on a
+    /// barrier, each scanning alone, returning each one's design and cap
+    /// flag.
+    fn concurrent_searches(
         dfg: &Dfg,
         lib: &Library,
         bounds: Bounds,
         threads: usize,
-    ) -> (Option<Design>, bool) {
-        let mut diagnostics = Diagnostics::default();
+    ) -> Vec<(Option<Design>, bool)> {
         let barrier = std::sync::Barrier::new(threads);
-        let design = std::thread::scope(|scope| {
-            let open = |search: Arc<AllocSearch>| {
-                for _ in 1..threads {
-                    let (search, barrier) = (Arc::clone(&search), &barrier);
-                    scope.spawn(move || {
+        std::thread::scope(|scope| {
+            let participants: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
                         barrier.wait();
-                        search.help(dfg, lib);
-                    });
-                }
-                barrier.wait();
-            };
-            best_allocation_design_shared(dfg, lib, bounds, &mut diagnostics, open, || {})
-        });
-        (design, diagnostics.alloc_cap_hit)
+                        let mut diagnostics = Diagnostics::default();
+                        let design =
+                            best_allocation_design_diag(dfg, lib, bounds, &mut diagnostics);
+                        (design, diagnostics.alloc_cap_hit)
+                    })
+                })
+                .collect();
+            participants
+                .into_iter()
+                .map(|p| p.join().unwrap())
+                .collect()
+        })
     }
 
     #[test]
     fn shared_scan_matches_the_reference_at_any_participant_count() {
+        // One thread scans each search; searches of the same inputs that
+        // run at once share nothing but the inputs, so each returns the
+        // reference's design and cap flag.
         let lib = Library::table1();
         for (spec, dfg, bounds) in kernel_corpus() {
             let mut diagnostics = Diagnostics::default();
             let reference = best_allocation_design_reference(&dfg, &lib, bounds, &mut diagnostics);
             let expected = (reference, diagnostics.alloc_cap_hit);
             for threads in [1, 2, 4] {
-                assert_eq!(
-                    shared_search(&dfg, &lib, bounds, threads),
-                    expected,
-                    "{spec} at {bounds} on {threads} threads"
-                );
+                for answer in concurrent_searches(&dfg, &lib, bounds, threads) {
+                    assert_eq!(answer, expected, "{spec} at {bounds} on {threads} threads");
+                }
             }
-        }
-    }
-
-    #[test]
-    fn a_helper_that_unwinds_mid_chunk_loses_no_allocation() {
-        let lib = Library::table1();
-        for (spec, dfg, bounds) in kernel_corpus().into_iter().step_by(3) {
-            let mut diagnostics = Diagnostics::default();
-            let reference = best_allocation_design_reference(&dfg, &lib, bounds, &mut diagnostics);
-            let (search, mut scratch) = AllocSearch::prepare(&dfg, &lib, bounds).unwrap();
-            let (took, taken) = std::sync::mpsc::channel();
-            let (go, fail) = std::sync::mpsc::channel::<()>();
-            let design = std::thread::scope(|scope| {
-                let search = &search;
-                let helper = scope.spawn(move || {
-                    let _member = Member::enter(search);
-                    took.send(search.next_chunk()).unwrap();
-                    fail.recv().unwrap();
-                    panic!("the helper fails mid-chunk");
-                });
-                // The helper holds the best-bounded chunk when the leader
-                // starts scanning, and unwinds while the leader scans or
-                // waits for it.
-                assert_eq!(taken.recv().unwrap().map(|chunk| chunk.start), Some(0));
-                search.scan(&dfg, &lib, &mut scratch);
-                go.send(()).unwrap();
-                let design = search.finish(&dfg, &lib, &mut scratch);
-                assert!(helper.join().is_err(), "the helper panicked");
-                design
-            });
-            assert_eq!(design, reference, "{spec} at {bounds}");
         }
     }
 

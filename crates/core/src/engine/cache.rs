@@ -188,7 +188,7 @@ type ReportFacts = (Bounds, String);
 /// exposes this one for its counters and lower-level probes.
 #[derive(Debug)]
 pub struct SynthCache {
-    reports: Memo<ReportFacts, (), Option<SynthReport>>,
+    reports: Memo<ReportFacts, Option<SynthReport>>,
     /// Session scratch arenas lent to every miss's synthesis run, so a
     /// sweep/batch over this cache allocates one arena per concurrent
     /// worker instead of per point.
@@ -342,35 +342,29 @@ impl SynthCache {
     ) -> Option<SynthReport> {
         let same = |(b, token): &ReportFacts| *b == bounds && token == strategy_token;
         let facts = || (bounds, strategy_token.to_owned());
-        let Ok(report) = self.reports.get_or_fill(
-            key.0,
-            same,
-            facts,
-            |()| {},
-            |leader| {
-                // A collision (no slot) skips the store: it is keyed by the
-                // same fingerprint, so its entry is just as suspect.
-                let Some(store) = self.store.get().filter(|_| leader.is_some()) else {
-                    return Ok::<_, Infallible>(Fill::Computed(compute().ok()));
-                };
-                Ok(match store_tier::load(store, key, bounds, strategy_token) {
-                    StoreOutcome::Hit(report) => Fill::Loaded(report),
-                    StoreOutcome::Collision => Fill::Uncacheable(compute().ok()),
-                    StoreOutcome::Miss => {
-                        let report = compute().ok();
-                        store_tier::save(
-                            store,
-                            key,
-                            bounds,
-                            strategy_token,
-                            report.as_ref(),
-                            provenance(),
-                        );
-                        Fill::Computed(report)
-                    }
-                })
-            },
-        );
+        let Ok(report) = self.reports.get_or_fill(key.0, same, facts, |cacheable| {
+            // A collision (not cacheable) skips the store: it is keyed
+            // by the same fingerprint, so its entry is just as suspect.
+            let Some(store) = self.store.get().filter(|_| cacheable) else {
+                return Ok::<_, Infallible>(Fill::Computed(compute().ok()));
+            };
+            Ok(match store_tier::load(store, key, bounds, strategy_token) {
+                StoreOutcome::Hit(report) => Fill::Loaded(report),
+                StoreOutcome::Collision => Fill::Uncacheable(compute().ok()),
+                StoreOutcome::Miss => {
+                    let report = compute().ok();
+                    store_tier::save(
+                        store,
+                        key,
+                        bounds,
+                        strategy_token,
+                        report.as_ref(),
+                        provenance(),
+                    );
+                    Fill::Computed(report)
+                }
+            })
+        });
         Arc::unwrap_or_clone(report)
     }
 

@@ -3,12 +3,11 @@
 //! A cache miss claims its key's slot before it computes. The first
 //! claimant *leads*: it computes, inserts the result into its table, and
 //! publishes it through the slot. A claimant that finds the slot taken
-//! *joins*: while the leader has shared work open it helps with it once,
-//! and otherwise it waits for the published value, which its table
-//! answers as a hit. A table's misses therefore equal its distinct keys
-//! at any worker count.
+//! *joins*: it waits for the published value, which its table answers as
+//! a hit. A table's misses therefore equal its distinct keys at any
+//! worker count.
 //!
-//! Three rules keep a slot from answering wrongly or wedging:
+//! Two rules keep a slot from answering wrongly or wedging:
 //!
 //! * A slot remembers the request facts its leader computes for. A
 //!   claimant with the same key but different facts (a fingerprint
@@ -17,9 +16,6 @@
 //! * A leader that unwinds, or drops its [`Leader`] without publishing,
 //!   abandons the slot: its joiners wake, and the first of them to claim
 //!   again leads a fresh computation.
-//! * A joiner's help runs outside every slot lock, so a helper that
-//!   panics unwinds out of its own claim and leaves the slot to the
-//!   leader.
 //!
 //! A cache hit never touches a slot: claims follow a table miss. The
 //! leader inserts into its table before it retires the slot, so a
@@ -31,11 +27,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// What a slot's leader is doing, as its joiners see it.
-enum State<S, V> {
-    /// Computing, with nothing a joiner can help with.
+enum State<V> {
+    /// Computing.
     Running,
-    /// Working through shared work that joiners may help with.
-    Open(Arc<S>),
     /// Finished: the value every joiner returns.
     Done(V),
     /// The leader unwound, or gave up, without publishing.
@@ -43,33 +37,25 @@ enum State<S, V> {
 }
 
 /// One key's in-flight computation.
-struct Slot<F, S, V> {
+struct Slot<F, V> {
     facts: F,
-    state: Mutex<State<S, V>>,
+    state: Mutex<State<V>>,
     changed: Condvar,
 }
 
-impl<F, S, V> Slot<F, S, V> {
-    fn set(&self, state: State<S, V>) {
-        *lock_unpoisoned(&self.state) = state;
-        self.changed.notify_all();
-    }
-}
-
 /// The slots in flight, by key.
-type Slots<F, S, V> = HashMap<u64, Arc<Slot<F, S, V>>>;
+type Slots<F, V> = HashMap<u64, Arc<Slot<F, V>>>;
 
 /// The in-flight computations of one cache table, by key: `F` is the
-/// request facts a key stands for, `S` the shared work a leader opens to
-/// helpers, and `V` the value it publishes.
-pub(crate) struct Flights<F, S, V> {
-    slots: Mutex<Slots<F, S, V>>,
+/// request facts a key stands for and `V` the value its leader publishes.
+pub(crate) struct Flights<F, V> {
+    slots: Mutex<Slots<F, V>>,
 }
 
-impl<F, S, V> Default for Flights<F, S, V> {
+impl<F, V> Default for Flights<F, V> {
     // Inlined so that `Engine::new` builds its session in place.
     #[inline(always)]
-    fn default() -> Flights<F, S, V> {
+    fn default() -> Flights<F, V> {
         Flights {
             slots: Mutex::new(HashMap::new()),
         }
@@ -77,21 +63,20 @@ impl<F, S, V> Default for Flights<F, S, V> {
 }
 
 /// The outcome of [`Flights::claim`].
-pub(crate) enum Claim<'a, F, S, V> {
+pub(crate) enum Claim<'a, F, V> {
     /// Nothing was in flight for the key: the caller computes, then
     /// publishes through the guard.
-    Lead(Leader<'a, F, S, V>),
+    Lead(Leader<'a, F, V>),
     /// A leader for the same facts published this value.
     Joined(V),
     /// A computation for the same key but different facts is in flight.
     Collision,
 }
 
-impl<F: PartialEq, S, V: Clone> Flights<F, S, V> {
+impl<F: PartialEq, V: Clone> Flights<F, V> {
     /// Claims `key` for a computation of `facts`. Joining, the caller
-    /// runs `help` once on shared work the leader opens, if it arrives
-    /// while that work is open, and then waits for the value.
-    pub(crate) fn claim(&self, key: u64, facts: F, mut help: impl FnMut(&S)) -> Claim<'_, F, S, V> {
+    /// waits for the leader's value.
+    pub(crate) fn claim(&self, key: u64, facts: F) -> Claim<'_, F, V> {
         loop {
             let slot = {
                 let mut slots = lock_unpoisoned(&self.slots);
@@ -113,7 +98,7 @@ impl<F: PartialEq, S, V: Clone> Flights<F, S, V> {
                     }
                 }
             };
-            if let Some(value) = join(&slot, &mut help) {
+            if let Some(value) = join(&slot) {
                 return Claim::Joined(value);
             }
             // Abandoned: claim again, leading if nobody else has yet.
@@ -121,55 +106,37 @@ impl<F: PartialEq, S, V: Clone> Flights<F, S, V> {
     }
 }
 
-/// Helps with or waits on `slot` until it resolves: `Some` once its
-/// value is published, `None` once it is abandoned.
-fn join<F, S, V: Clone>(slot: &Slot<F, S, V>, help: &mut impl FnMut(&S)) -> Option<V> {
-    let mut helped = false;
+/// Waits on `slot` until it resolves: `Some` once its value is
+/// published, `None` once it is abandoned.
+fn join<F, V: Clone>(slot: &Slot<F, V>) -> Option<V> {
     let mut state = lock_unpoisoned(&slot.state);
     loop {
         match &*state {
             State::Done(value) => return Some(value.clone()),
             State::Abandoned => return None,
-            State::Open(work) if !helped => {
-                let work = Arc::clone(work);
-                drop(state);
-                helped = true;
-                help(&work);
-                state = lock_unpoisoned(&slot.state);
-            }
-            State::Running | State::Open(_) => state = wait_unpoisoned(&slot.changed, state),
+            State::Running => state = wait_unpoisoned(&slot.changed, state),
         }
     }
 }
 
 /// The leading claim on a key. Dropping it retires the slot; dropping it
 /// unpublished abandons it, waking every joiner to claim again.
-pub(crate) struct Leader<'a, F, S, V> {
-    flights: &'a Flights<F, S, V>,
+pub(crate) struct Leader<'a, F, V> {
+    flights: &'a Flights<F, V>,
     key: u64,
-    slot: Arc<Slot<F, S, V>>,
+    slot: Arc<Slot<F, V>>,
 }
 
-impl<F, S, V> Leader<'_, F, S, V> {
-    /// Opens `work` to joiners: each one that arrives before
-    /// [`Leader::close`] helps with it once.
-    pub(crate) fn open(&self, work: Arc<S>) {
-        self.slot.set(State::Open(work));
-    }
-
-    /// Closes the shared work: joiners that arrive from now on only wait.
-    pub(crate) fn close(&self) {
-        self.slot.set(State::Running);
-    }
-
+impl<F, V> Leader<'_, F, V> {
     /// Publishes `value` to every joiner and retires the slot. Insert
     /// the value into the table first (see the module docs).
     pub(crate) fn publish(self, value: V) {
-        self.slot.set(State::Done(value));
+        *lock_unpoisoned(&self.slot.state) = State::Done(value);
+        self.slot.changed.notify_all();
     }
 }
 
-impl<F, S, V> Drop for Leader<'_, F, S, V> {
+impl<F, V> Drop for Leader<'_, F, V> {
     fn drop(&mut self) {
         {
             let mut state = lock_unpoisoned(&self.slot.state);
@@ -189,7 +156,7 @@ impl<F, S, V> Drop for Leader<'_, F, S, V> {
 }
 
 #[cfg(test)]
-impl<F, S, V> Flights<F, S, V> {
+impl<F, V> Flights<F, V> {
     /// Joiners currently holding `key`'s slot: every reference beyond
     /// the table's and the leader's.
     fn joiners(&self, key: u64) -> usize {
@@ -211,17 +178,16 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
-    /// A table whose shared work is a channel its helpers report on.
-    type Table = Flights<u32, mpsc::SyncSender<&'static str>, u64>;
+    type Table = Flights<u32, u64>;
 
-    fn lead(table: &Table, facts: u32) -> Leader<'_, u32, mpsc::SyncSender<&'static str>, u64> {
-        match table.claim(7, facts, |_| panic!("a leader never helps")) {
+    fn lead(table: &Table, facts: u32) -> Leader<'_, u32, u64> {
+        match table.claim(7, facts) {
             Claim::Lead(leader) => leader,
             _ => panic!("the first claim leads"),
         }
     }
 
-    fn joined<F, S, V>(claim: Claim<'_, F, S, V>) -> V {
+    fn joined<F, V>(claim: Claim<'_, F, V>) -> V {
         match claim {
             Claim::Joined(value) => value,
             Claim::Lead(_) => panic!("expected to join, led"),
@@ -229,42 +195,47 @@ mod tests {
         }
     }
 
+    /// A joiner that arrives while the leader is still computing takes no
+    /// part in the computation: it waits, and returns the leader's value.
     #[test]
     fn a_joiner_arriving_mid_scan_helps_and_returns_the_leaders_value() {
         let table = Table::default();
-        let leader = lead(&table, 1);
-        let (tx, rx) = mpsc::sync_channel(1);
-        leader.open(Arc::new(tx));
+        let (led, leading) = mpsc::channel::<()>();
+        let (go, finish) = mpsc::channel::<()>();
         std::thread::scope(|scope| {
-            let joiner =
-                scope.spawn(|| joined(table.claim(7, 1, |work| work.send("helped").unwrap())));
-            // The joiner helps while the work is open ...
-            assert_eq!(rx.recv().unwrap(), "helped");
-            // ... and then waits for the leader's value.
+            let table = &table;
+            let leader = scope.spawn(move || {
+                let leader = lead(table, 1);
+                led.send(()).unwrap();
+                // Mid-computation until the joiner waits on the slot.
+                finish.recv().unwrap();
+                leader.publish(42);
+            });
+            leading.recv().unwrap();
+            let joiner = scope.spawn(|| joined(table.claim(7, 1)));
             table.await_joiners(7, 1);
-            leader.close();
-            leader.publish(42);
+            go.send(()).unwrap();
+            leader.join().unwrap();
             assert_eq!(joiner.join().unwrap(), 42);
         });
         // The slot is retired: the next claim leads.
-        assert!(matches!(table.claim(7, 1, |_| {}), Claim::Lead(_)));
+        assert!(matches!(table.claim(7, 1), Claim::Lead(_)));
     }
 
+    /// A joiner that arrives once the leader's computation has ended, but
+    /// before it publishes, waits for the published value.
     #[test]
     fn a_joiner_arriving_after_the_scan_closed_only_waits() {
         let table = Table::default();
         let leader = lead(&table, 1);
-        let (tx, rx) = mpsc::sync_channel(1);
-        leader.open(Arc::new(tx));
-        leader.close();
+        let value = 42;
         std::thread::scope(|scope| {
-            let joiner =
-                scope.spawn(|| joined(table.claim(7, 1, |work| work.send("helped").unwrap())));
+            let joiner = scope.spawn(|| joined(table.claim(7, 1)));
             table.await_joiners(7, 1);
-            leader.publish(42);
-            assert_eq!(joiner.join().unwrap(), 42);
+            leader.publish(value);
+            assert_eq!(joiner.join().unwrap(), value);
         });
-        assert!(rx.try_recv().is_err(), "a closed scan takes no help");
+        assert!(lock_unpoisoned(&table.slots).is_empty());
     }
 
     #[test]
@@ -283,7 +254,7 @@ mod tests {
             leading.recv().unwrap();
             let joiners: Vec<_> = (0..2)
                 .map(|_| {
-                    scope.spawn(|| match table.claim(7, 1, |_| {}) {
+                    scope.spawn(|| match table.claim(7, 1) {
                         Claim::Lead(leader) => {
                             // Publish only once the other joiner waits
                             // on this slot, so it cannot lead as well.
@@ -313,36 +284,13 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_helper_does_not_wedge_the_leader() {
-        let table = Table::default();
-        let leader = lead(&table, 1);
-        let (tx, rx) = mpsc::sync_channel(1);
-        leader.open(Arc::new(tx));
-        std::thread::scope(|scope| {
-            let helper = scope.spawn(|| {
-                table.claim(7, 1, |work| {
-                    work.send("helping").unwrap();
-                    panic!("the helper's scan fails");
-                });
-            });
-            assert_eq!(rx.recv().unwrap(), "helping");
-            assert!(helper.join().is_err(), "the helper panicked");
-            leader.close();
-            let joiner = scope.spawn(|| joined(table.claim(7, 1, |_| {})));
-            table.await_joiners(7, 1);
-            leader.publish(42);
-            assert_eq!(joiner.join().unwrap(), 42);
-        });
-    }
-
-    #[test]
     fn a_fingerprint_collision_never_joins() {
         let table = Table::default();
         let leader = lead(&table, 1);
         // Same key, different facts: not this slot's computation.
-        assert!(matches!(table.claim(7, 2, |_| {}), Claim::Collision));
+        assert!(matches!(table.claim(7, 2), Claim::Collision));
         leader.publish(42);
-        assert!(matches!(table.claim(7, 2, |_| {}), Claim::Lead(_)));
+        assert!(matches!(table.claim(7, 2), Claim::Lead(_)));
     }
 
     #[test]
@@ -350,6 +298,6 @@ mod tests {
         let table = Table::default();
         drop(lead(&table, 1));
         assert!(lock_unpoisoned(&table.slots).is_empty());
-        assert!(matches!(table.claim(7, 1, |_| {}), Claim::Lead(_)));
+        assert!(matches!(table.claim(7, 1), Claim::Lead(_)));
     }
 }

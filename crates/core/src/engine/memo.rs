@@ -45,7 +45,7 @@
 
 use crate::engine::budget::BudgetedTable;
 use crate::engine::cache::CacheStats;
-use crate::engine::flight::{Claim, Flights, Leader};
+use crate::engine::flight::{Claim, Flights};
 use crate::obs::TableMetrics;
 use crate::sync::lock_unpoisoned;
 use std::fmt;
@@ -85,11 +85,10 @@ pub(crate) enum Fill<V> {
 }
 
 /// A memo table: values `V` by 64-bit key, each stored beside the
-/// request facts `F` it was computed for. `S` is the shared work a
-/// leader may open to the requests that join it.
-pub(crate) struct Memo<F, S, V> {
+/// request facts `F` it was computed for.
+pub(crate) struct Memo<F, V> {
     table: Mutex<BudgetedTable<(F, Arc<V>)>>,
-    flights: Flights<F, S, Arc<V>>,
+    flights: Flights<F, Arc<V>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// The table's metric handles, resolved on first use.
@@ -99,14 +98,14 @@ pub(crate) struct Memo<F, S, V> {
     heap_bytes: fn(&F, &V) -> usize,
 }
 
-impl<F, S, V> Memo<F, S, V> {
+impl<F, V> Memo<F, V> {
     /// An empty table recording into `metrics`.
     // Inlined so that `Engine::new` builds its session in place.
     #[inline(always)]
     pub(crate) fn new(
         metrics: fn() -> &'static TableMetrics,
         heap_bytes: fn(&F, &V) -> usize,
-    ) -> Memo<F, S, V> {
+    ) -> Memo<F, V> {
         Memo {
             table: Mutex::default(),
             flights: Flights::default(),
@@ -155,16 +154,13 @@ impl<F, S, V> Memo<F, S, V> {
     }
 }
 
-impl<F: Clone + PartialEq, S, V: Clone> Memo<F, S, V> {
+impl<F: Clone + PartialEq, V: Clone> Memo<F, V> {
     /// The value for `key`: from the table when an entry of the request's
     /// facts is there (`same` tells), from the computation in flight for
-    /// it, or from `fill`. A request that joins a computation runs `help`
-    /// on the work its leader opens. `facts` is built only on a table
-    /// miss.
+    /// it, or from `fill`. `facts` is built only on a table miss.
     ///
-    /// `fill` gets the leader's claim on the key, or `None` when the
-    /// request collides with another under the same key and its value
-    /// will not be cached.
+    /// `fill` gets whether its value will be cached: `false` when the
+    /// request collides with another under the same key.
     ///
     /// The value is shared with the table on a hit and the caller's own
     /// when it filled it, so [`Arc::unwrap_or_clone`] copies it only on a
@@ -178,8 +174,7 @@ impl<F: Clone + PartialEq, S, V: Clone> Memo<F, S, V> {
         key: u64,
         same: impl Fn(&F) -> bool,
         facts: impl FnOnce() -> F,
-        help: impl FnMut(&S),
-        fill: impl FnOnce(Option<&Leader<'_, F, S, Arc<V>>>) -> Result<Fill<V>, E>,
+        fill: impl FnOnce(bool) -> Result<Fill<V>, E>,
     ) -> Result<Arc<V>, E> {
         // `Some(None)`: an entry for other facts under this key.
         let lookup = || {
@@ -192,7 +187,7 @@ impl<F: Clone + PartialEq, S, V: Clone> Memo<F, S, V> {
             Some(None) => None,
             None => {
                 let facts = facts();
-                match self.flights.claim(key, facts.clone(), help) {
+                match self.flights.claim(key, facts.clone()) {
                     Claim::Joined(value) => return Ok(self.hit(value, true)),
                     Claim::Collision => None,
                     // A leader may have inserted the entry and retired its
@@ -210,14 +205,14 @@ impl<F: Clone + PartialEq, S, V: Clone> Memo<F, S, V> {
         };
         let Some((leader, facts)) = lead else {
             self.miss();
-            return fill(None).map(|filled| match filled {
+            return fill(false).map(|filled| match filled {
                 Fill::Computed(value) | Fill::Loaded(value) | Fill::Uncacheable(value) => {
                     Arc::new(value)
                 }
             });
         };
         // An error drops the leader unpublished: joiners compute again.
-        let value = match fill(Some(&leader)).inspect_err(|_| self.miss())? {
+        let value = match fill(true).inspect_err(|_| self.miss())? {
             Fill::Computed(value) => {
                 self.miss();
                 value
@@ -255,14 +250,14 @@ impl<F: Clone + PartialEq, S, V: Clone> Memo<F, S, V> {
     }
 }
 
-impl<F, S, V> fmt::Debug for Memo<F, S, V> {
+impl<F, V> fmt::Debug for Memo<F, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("Memo").field(&self.stats()).finish()
     }
 }
 
 #[cfg(test)]
-impl<F, S, V> Memo<F, S, V> {
+impl<F, V> Memo<F, V> {
     /// The table's lock, for tests that poison it.
     pub(crate) fn table(&self) -> &Mutex<BudgetedTable<(F, Arc<V>)>> {
         &self.table
@@ -275,12 +270,12 @@ mod tests {
 
     /// A table of strings under `u32` facts, recording into the report
     /// cache's metrics (no test reads them).
-    fn memo() -> Memo<u32, (), String> {
+    fn memo() -> Memo<u32, String> {
         Memo::new(crate::obs::synth_cache, |_, value| value.capacity())
     }
 
-    fn get(memo: &Memo<u32, (), String>, facts: u32, fill: Fill<String>) -> String {
-        let filled = memo.get_or_fill(7, |f| *f == facts, || facts, |()| {}, |_| Ok::<_, ()>(fill));
+    fn get(memo: &Memo<u32, String>, facts: u32, fill: Fill<String>) -> String {
+        let filled = memo.get_or_fill(7, |f| *f == facts, || facts, |_| Ok::<_, ()>(fill));
         String::clone(&filled.unwrap())
     }
 
@@ -289,7 +284,7 @@ mod tests {
         let memo = memo();
         // Uncacheable values and errors are returned, never kept.
         assert_eq!(get(&memo, 1, Fill::Uncacheable("a".into())), "a");
-        let failed = memo.get_or_fill(7, |f| *f == 1, || 1, |()| {}, |_| Err("no"));
+        let failed = memo.get_or_fill(7, |f| *f == 1, || 1, |_| Err("no"));
         assert_eq!(failed.unwrap_err(), "no");
         assert_eq!(memo.stats().len, 0);
         // A loaded value is kept and counts as a hit. The table keeps a

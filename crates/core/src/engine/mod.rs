@@ -616,7 +616,7 @@ impl Engine {
     /// parts from the session memo, and a part another worker is still
     /// computing is a slot it can only wait on; dispatched last, it
     /// mostly finds its parts done, and the workers spend the batch on
-    /// the parts themselves (an allocation search they can help scan).
+    /// the parts themselves.
     fn resolve_and_run(
         &self,
         jobs: &[SynthJob],

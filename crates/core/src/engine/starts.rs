@@ -18,11 +18,10 @@
 //! sweeps, and CLI sweeps all share one pool table per session.
 //!
 //! Workers that miss on the same key at the same time compute it once:
-//! the first leads, and the others join its single-flight slot and
-//! answer from the value it publishes. Joiners on an allocation search
-//! help scan it; joiners on a start pool only wait.
+//! the first leads, and the others wait on its single-flight slot and
+//! answer from the value it publishes.
 
-use crate::alloc_search::{best_allocation_design_shared, AllocSearch};
+use crate::alloc_search::best_allocation_design_diag;
 use crate::bounds::Bounds;
 use crate::engine::fingerprint::Fingerprint;
 use crate::engine::memo::{Fill, Memo, TableStats};
@@ -63,13 +62,12 @@ type PoolFacts = (Bounds, String, String);
 /// runs its own list scheduler, independent of the flow's passes).
 ///
 /// Each is one memo table (see `engine::memo`): a miss on a key another
-/// worker is already computing joins that computation instead of
-/// repeating it, and counts as a hit. A joiner on an allocation search
-/// helps scan it; a joiner on a start pool only waits.
+/// worker is already computing waits for that computation instead of
+/// repeating it, and counts as a hit.
 #[derive(Debug)]
 pub struct StartsCache {
-    pools: Memo<PoolFacts, (), StartsEntry>,
-    designs: Memo<Bounds, AllocSearch, AllocEntry>,
+    pools: Memo<PoolFacts, StartsEntry>,
+    designs: Memo<Bounds, AllocEntry>,
 }
 
 impl Default for StartsCache {
@@ -149,24 +147,18 @@ impl StartsCache {
         };
         let facts = || (bounds, flow.scheduler.clone(), flow.binder.clone());
         let mut computed = false;
-        let entry = self.pools.get_or_fill(
-            key,
-            same,
-            facts,
-            |()| {},
-            |_| {
-                computed = true;
-                let _span = rchls_telemetry::span!("starts.compute");
-                let before = synth.pass_call_counts();
-                let states = synth.uniform_feasible_starts_fresh(bounds)?;
-                let after = synth.pass_call_counts();
-                Ok::<_, SynthesisError>(Fill::Computed(StartsEntry {
-                    states,
-                    sched_calls: after.0 - before.0,
-                    bind_calls: after.1 - before.1,
-                }))
-            },
-        )?;
+        let entry = self.pools.get_or_fill(key, same, facts, |_| {
+            computed = true;
+            let _span = rchls_telemetry::span!("starts.compute");
+            let before = synth.pass_call_counts();
+            let states = synth.uniform_feasible_starts_fresh(bounds)?;
+            let after = synth.pass_call_counts();
+            Ok::<_, SynthesisError>(Fill::Computed(StartsEntry {
+                states,
+                sched_calls: after.0 - before.0,
+                bind_calls: after.1 - before.1,
+            }))
+        })?;
         // A computation on this thread booked its pass calls as it ran.
         if !computed {
             synth.replay_pass_calls(entry.sched_calls, entry.bind_calls);
@@ -177,11 +169,10 @@ impl StartsCache {
     /// The allocation-first portfolio design for `synth` at `bounds`,
     /// interned per `(dfg, library, bounds)`: the design (or its
     /// absence) and the search's cap-hit flag are recorded into
-    /// `diagnostics` exactly as a fresh
-    /// [`best_allocation_design_diag`](crate::alloc_search::best_allocation_design_diag)
+    /// `diagnostics` exactly as a fresh [`best_allocation_design_diag`]
     /// run would record them, so reports are byte-identical across cache
-    /// states. A miss on a search another worker is running helps scan
-    /// it and returns its answer.
+    /// states. A miss on a search another worker is running waits for it
+    /// and returns its answer.
     pub(crate) fn alloc_design(
         &self,
         synth: &Synthesizer<'_>,
@@ -194,30 +185,14 @@ impl StartsCache {
         fp.update(synth.library());
         fp.update(&bounds);
         let key = fp.finish();
-        let help = |search: &AllocSearch| search.help(synth.dfg(), synth.library());
         let Ok(entry) = self.designs.get_or_fill(
             key,
             |b| *b == bounds,
             || bounds,
-            help,
-            |leader| {
+            |_| {
                 let mut fresh = Diagnostics::default();
-                let design = best_allocation_design_shared(
-                    synth.dfg(),
-                    synth.library(),
-                    bounds,
-                    &mut fresh,
-                    |search| {
-                        if let Some(leader) = leader {
-                            leader.open(search);
-                        }
-                    },
-                    || {
-                        if let Some(leader) = leader {
-                            leader.close();
-                        }
-                    },
-                );
+                let design =
+                    best_allocation_design_diag(synth.dfg(), synth.library(), bounds, &mut fresh);
                 Ok::<_, Infallible>(Fill::Computed(AllocEntry {
                     design,
                     cap_hit: fresh.alloc_cap_hit,
@@ -306,7 +281,7 @@ mod tests {
                 });
             }
         });
-        // Whoever arrived while another worker computed joined it.
+        // Whoever arrived while another worker computed waited for it.
         for table in [cache.stats(), cache.alloc_stats()] {
             assert_eq!(table.lookups, CacheStats { hits: 3, misses: 1 });
             assert_eq!(table.seen, 1);

@@ -14,7 +14,6 @@
 use crate::bounds::Bounds;
 use crate::flow::{self, Diagnostics, FlowSpec, SynthReport, SynthRequest};
 use crate::redundancy::RedundancyModel;
-use crate::synth::Synthesizer;
 use rchls_dfg::Dfg;
 use rchls_reslib::Library;
 use serde::{Deserialize, Serialize};
@@ -187,69 +186,6 @@ pub fn sweep(dfg: &Dfg, library: &Library, grid: &[(u32, u32)]) -> Vec<SweepRow>
     inherit(&raw)
 }
 
-/// Reliability of the reliability-centric approach as the latency bound
-/// varies at fixed area (Figure 8a), with feasibility inheritance.
-#[must_use]
-pub fn reliability_vs_latency(
-    dfg: &Dfg,
-    library: &Library,
-    area: u32,
-    latencies: &[u32],
-) -> Vec<(u32, Option<f64>)> {
-    let raw: Vec<(u32, Option<f64>)> = latencies
-        .iter()
-        .map(|&l| {
-            let r = Synthesizer::new(dfg, library)
-                .synthesize(Bounds::new(l, area))
-                .ok()
-                .map(|d| d.reliability.value());
-            (l, r)
-        })
-        .collect();
-    inherit_1d(&raw)
-}
-
-/// Reliability of the reliability-centric approach as the area bound
-/// varies at fixed latency (Figure 8b), with feasibility inheritance.
-#[must_use]
-pub fn reliability_vs_area(
-    dfg: &Dfg,
-    library: &Library,
-    latency: u32,
-    areas: &[u32],
-) -> Vec<(u32, Option<f64>)> {
-    let raw: Vec<(u32, Option<f64>)> = areas
-        .iter()
-        .map(|&a| {
-            let r = Synthesizer::new(dfg, library)
-                .synthesize(Bounds::new(latency, a))
-                .ok()
-                .map(|d| d.reliability.value());
-            (a, r)
-        })
-        .collect();
-    inherit_1d(&raw)
-}
-
-/// Feasibility inheritance along one loosening axis: each point reports
-/// the best reliability among all points with a bound no looser than its
-/// own.
-fn inherit_1d(points: &[(u32, Option<f64>)]) -> Vec<(u32, Option<f64>)> {
-    points
-        .iter()
-        .map(|&(bound, _)| {
-            let best = points
-                .iter()
-                .filter(|&&(b, _)| b <= bound)
-                .filter_map(|&(_, r)| r)
-                .fold(None, |acc: Option<f64>, v| {
-                    Some(acc.map_or(v, |a| a.max(v)))
-                });
-            (bound, best)
-        })
-        .collect()
-}
-
 /// Per-strategy average reliabilities over the feasible cells of a sweep
 /// (the Figure 9 bars). Returns `(baseline, ours, combined)`.
 #[must_use]
@@ -384,25 +320,6 @@ mod tests {
         // The paper's Table 2a first row reports 23.79%.
         assert!((row.improvement_pct().unwrap() - 23.79).abs() < 0.01);
         assert!((row.combined_improvement_pct().unwrap() - 23.79).abs() < 0.01);
-    }
-
-    #[test]
-    fn figure8_style_curves_are_monotone_for_figure4a() {
-        let g = figure4a();
-        let lib = Library::table1();
-        let latencies = [4u32, 5, 6, 8, 10, 12];
-        let curve = reliability_vs_latency(&g, &lib, 4, &latencies);
-        let feasible: Vec<f64> = curve.iter().filter_map(|&(_, r)| r).collect();
-        assert!(!feasible.is_empty());
-        for w in feasible.windows(2) {
-            assert!(w[1] + 1e-9 >= w[0], "loosening latency lowered reliability");
-        }
-        let areas = [1u32, 2, 3, 4, 6, 8];
-        let curve = reliability_vs_area(&g, &lib, 6, &areas);
-        let feasible: Vec<f64> = curve.iter().filter_map(|&(_, r)| r).collect();
-        for w in feasible.windows(2) {
-            assert!(w[1] + 1e-9 >= w[0], "loosening area lowered reliability");
-        }
     }
 
     #[test]

@@ -9,27 +9,8 @@
 use rchls_telemetry::metrics::{
     self, Counter, Histogram, BYTE_BUCKETS, COUNT_BUCKETS, TIME_BUCKETS_MICROS,
 };
+use rchls_telemetry::{counter_handle, histogram_handle};
 use std::sync::{Arc, OnceLock};
-
-macro_rules! counter_handle {
-    ($(#[$doc:meta])* $fn_name:ident, $name:expr) => {
-        $(#[$doc])*
-        pub(crate) fn $fn_name() -> &'static Counter {
-            static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-            HANDLE.get_or_init(|| metrics::counter($name))
-        }
-    };
-}
-
-macro_rules! histogram_handle {
-    ($(#[$doc:meta])* $fn_name:ident, $name:expr, $buckets:expr) => {
-        $(#[$doc])*
-        pub(crate) fn $fn_name() -> &'static Histogram {
-            static HANDLE: OnceLock<Arc<Histogram>> = OnceLock::new();
-            HANDLE.get_or_init(|| metrics::histogram($name, $buckets))
-        }
-    };
-}
 
 /// The metrics every memo table (see `engine::memo`) records, each
 /// named `<table>.<metric>`.
@@ -40,8 +21,7 @@ pub(crate) struct TableMetrics {
     /// `.misses` — requests computed fresh.
     pub(crate) misses: Arc<Counter>,
     /// `.joined` — hits that waited on another worker's computation of
-    /// the same key (a joined allocation search is one the caller also
-    /// helped scan).
+    /// the same key.
     pub(crate) joined: Arc<Counter>,
     /// `.inserts` — entries added (with no budget this is the resident
     /// size; under one, inserts minus evictions is).

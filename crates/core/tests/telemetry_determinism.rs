@@ -70,8 +70,7 @@ impl Drop for SinkGuard {
 }
 
 /// Distinct-fingerprint jobs: every spec appears exactly once, so a cold
-/// batch is all misses and a warm re-run all hits, and no two identical
-/// allocation searches overlap.
+/// batch is all misses and a warm re-run all hits.
 fn distinct_jobs() -> Vec<SynthJob> {
     let mut jobs: Vec<SynthJob> = (0..6u64)
         .map(|seed| SynthJob::new(format!("random:16x4@{seed}"), 8, 10))
@@ -83,18 +82,12 @@ fn distinct_jobs() -> Vec<SynthJob> {
 
 /// The deterministic counter subset: cache tallies, which single-flight
 /// slots make independent of the worker count (misses are the distinct
-/// keys), and allocation-search counters over distinct-fingerprint jobs.
-/// Pool/executor counters are deliberately excluded — lends and queue
-/// depths legitimately vary with scheduling — and so are the `*.joined`
+/// keys), and allocation-search counters, which each distinct search
+/// books once from the one thread that scans it (see also
+/// `shared_searches_compute_once_at_any_worker_count`). Pool/executor
+/// counters are deliberately excluded — lends and queue depths
+/// legitimately vary with scheduling — and so are the `*.joined`
 /// tallies, which count how often two workers happened to overlap.
-///
-/// The `alloc_search.*` counters are pinned only here, on jobs whose
-/// searches are all distinct: when two identical searches overlap, the
-/// second helps scan the first, and a helper can schedule an allocation
-/// that a lone scan would have pruned (the incumbent that rules it out is
-/// found in another chunk too late), or one that a lone scan's run-family
-/// record would have answered (each participant remembers only its own
-/// runs). The answer is the same; the counts of work done are not.
 const DETERMINISTIC_COUNTERS: &[&str] = &[
     "synth_cache.hits",
     "synth_cache.misses",
@@ -170,12 +163,14 @@ fn deterministic_counters_match_across_worker_counts() {
 /// same start pools and the same allocation search, at `--jobs 8`
 /// usually while the other is still computing them. The `combined` job
 /// reads the default `ours` report and the `baseline` report from the
-/// session memo.
+/// session memo. The L=8/A=64 corner's search schedules over a thousand
+/// allocations, long enough for the second job to ask for it mid-scan.
 fn shared_point_jobs() -> Vec<SynthJob> {
     let mut points: Vec<(String, u32, u32)> = (0..6u64)
         .map(|seed| (format!("random:16x4@{seed}"), 8, 10))
         .collect();
     points.push(("builtin:diffeq".to_owned(), 6, 11));
+    points.push(("random:32x5@0".to_owned(), 8, 64));
     let min_loss = FlowSpec::default().with_victim("min-reliability-loss");
     points
         .into_iter()
@@ -194,16 +189,21 @@ fn figure6_runs() -> u64 {
     metrics::histogram("phase.synth_micros", TIME_BUCKETS_MICROS).count()
 }
 
-/// Cache tallies that single-flight slots make deterministic for any job
-/// set: a request that finds its key in flight joins it and counts as a
-/// hit.
-const SHARED_CACHE_COUNTERS: &[&str] = &[
+/// Counters that repeat at any worker count for any job set: the cache
+/// tallies, since a request that finds its key in flight waits for it and
+/// counts as a hit, and the allocation-search counters, since each
+/// distinct search runs once, on the one thread that leads its slot.
+const SHARED_COUNTERS: &[&str] = &[
     "synth_cache.hits",
     "synth_cache.misses",
     "starts_cache.hits",
     "starts_cache.misses",
     "alloc_cache.hits",
     "alloc_cache.misses",
+    "alloc_search.bound_pruned",
+    "alloc_search.scheduled",
+    "alloc_search.early_exits",
+    "alloc_search.family_hits",
 ];
 
 #[test]
@@ -216,6 +216,7 @@ fn shared_searches_compute_once_at_any_worker_count() {
         .iter()
         .flat_map(|job| [job.clone(), job.clone()])
         .collect();
+    let mut searches: Vec<Vec<u64>> = Vec::new();
     for jobs in [shared, doubled] {
         let mut documents = Vec::new();
         let mut tallies: Vec<Vec<u64>> = Vec::new();
@@ -256,8 +257,12 @@ fn shared_searches_compute_once_at_any_worker_count() {
                 ours_keys.len() as u64,
                 "--jobs {workers}: one Figure-6 run per distinct ours key"
             );
+            assert!(
+                metrics::counter("alloc_search.scheduled").get() > 0,
+                "--jobs {workers}: the searches scheduled allocations"
+            );
             tallies.push(
-                SHARED_CACHE_COUNTERS
+                SHARED_COUNTERS
                     .iter()
                     .map(|name| metrics::counter(name).get())
                     .collect(),
@@ -269,9 +274,21 @@ fn shared_searches_compute_once_at_any_worker_count() {
         );
         assert_eq!(
             tallies[0], tallies[1],
-            "cache tallies diverged between --jobs 1 and --jobs 8"
+            "cache and search tallies diverged between --jobs 1 and --jobs 8"
+        );
+        let search_work = SHARED_COUNTERS.iter().zip(&tallies[0]);
+        searches.push(
+            search_work
+                .filter(|(name, _)| name.starts_with("alloc_search."))
+                .map(|(_, &count)| count)
+                .collect(),
         );
     }
+    // Doubling the jobs adds no distinct search, so no search work.
+    assert_eq!(
+        searches[0], searches[1],
+        "the doubled batch did different search work"
+    );
 }
 
 #[test]

@@ -298,6 +298,36 @@ mod tests {
     }
 
     #[test]
+    fn figure8_style_curves_are_monotone_for_figure4a() {
+        // Figure 8's shape: with one bound fixed, feasibility inheritance
+        // makes reliability rise, never fall, as the other loosens.
+        let tasks = [
+            ExploreTask::new(
+                "builtin:figure4a",
+                [4, 5, 6, 8, 10, 12].map(|latency| (latency, 4)).to_vec(),
+            ),
+            ExploreTask::new(
+                "builtin:figure4a",
+                [1, 2, 3, 4, 6, 8].map(|area| (6, area)).to_vec(),
+            ),
+        ];
+        let out = explore(
+            &engine(),
+            &tasks,
+            &FlowSpec::default(),
+            RedundancyModel::default(),
+        )
+        .unwrap();
+        for (sweep, axis) in out.sweeps.iter().zip(["latency", "area"]) {
+            let feasible: Vec<f64> = sweep.rows.iter().filter_map(|row| row.ours).collect();
+            assert!(!feasible.is_empty(), "{axis}");
+            for w in feasible.windows(2) {
+                assert!(w[1] + 1e-9 >= w[0], "loosening {axis} lowered reliability");
+            }
+        }
+    }
+
+    #[test]
     fn mistyped_pass_ids_and_specs_are_errors_not_infeasible_points() {
         let engine = engine();
         let tasks = [ExploreTask::new("builtin:figure4a", vec![(5, 4)])];

@@ -68,7 +68,8 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns a human-readable message when `addr` is not an explicit
-    /// `ip:port` socket address.
+    /// `ip:port` socket address, or a queue depth, connection cap or I/O
+    /// timeout is zero.
     pub fn validate(&self) -> Result<(), String> {
         self.addr.parse::<SocketAddr>().map_err(|_| {
             format!(
@@ -76,6 +77,11 @@ impl ServeConfig {
                 self.addr
             )
         })?;
+        if self.queue_depth == 0 {
+            // Admission rejects at `queue_depth` queued requests, so a
+            // zero depth would answer every heavy request `overloaded`.
+            return Err("--queue-depth must be at least 1".to_owned());
+        }
         if self.max_conns == 0 {
             return Err("--max-conns must be at least 1".to_owned());
         }
@@ -151,9 +157,12 @@ mod tests {
     #[test]
     fn validates_connection_and_timeout_knobs() {
         let mut config = ServeConfig {
-            max_conns: 0,
+            queue_depth: 0,
             ..ServeConfig::default()
         };
+        assert!(config.validate().unwrap_err().contains("--queue-depth"));
+        config.queue_depth = 1;
+        config.max_conns = 0;
         assert!(config.validate().unwrap_err().contains("--max-conns"));
         config.max_conns = 1;
         config.read_timeout_ms = 0;

@@ -2,28 +2,8 @@
 //! as `rchls-core`'s instrumentation: one registry lookup per metric
 //! per process, atomics on the hot path).
 
-use rchls_telemetry::metrics::{self, Counter, Histogram, COUNT_BUCKETS, TIME_BUCKETS_MICROS};
-use std::sync::{Arc, OnceLock};
-
-macro_rules! counter_handle {
-    ($(#[$doc:meta])* $fn_name:ident, $name:expr) => {
-        $(#[$doc])*
-        pub(crate) fn $fn_name() -> &'static Counter {
-            static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-            HANDLE.get_or_init(|| metrics::counter($name))
-        }
-    };
-}
-
-macro_rules! histogram_handle {
-    ($(#[$doc:meta])* $fn_name:ident, $name:expr, $buckets:expr) => {
-        $(#[$doc])*
-        pub(crate) fn $fn_name() -> &'static Histogram {
-            static HANDLE: OnceLock<Arc<Histogram>> = OnceLock::new();
-            HANDLE.get_or_init(|| metrics::histogram($name, $buckets))
-        }
-    };
-}
+use rchls_telemetry::metrics::{COUNT_BUCKETS, TIME_BUCKETS_MICROS};
+use rchls_telemetry::{counter_handle, histogram_handle};
 
 counter_handle!(
     /// `serve.connections` — client connections accepted.

@@ -203,6 +203,8 @@ fn sweep_and_pareto_match_offline_exploration_json() {
 fn full_queue_rejects_with_structured_overload() {
     // queue_depth 0: every heavy request is refused at admission with a
     // retry hint — no hang, no panic — while admin methods still work.
+    // `ServeConfig::validate` rejects this depth, so only a server started
+    // without validation, as here, ever runs with it.
     let (handle, addr) = start(ephemeral(1, 0));
     let mut client = Client::connect(&addr).unwrap();
     let params = serde_json::to_value(&SynthJob::new("builtin:figure4a", 6, 4));

@@ -336,6 +336,44 @@ pub fn histogram(name: &str, bounds: &[u64]) -> Arc<Histogram> {
     global().histogram(name, bounds)
 }
 
+/// Defines a crate-private accessor for the global counter `$name`: the
+/// registry is looked up once per process, and instrumented hot paths
+/// touch only the counter's atomics.
+///
+/// ```
+/// rchls_telemetry::counter_handle!(
+///     /// `example.hits` — lookups answered.
+///     hits, "example.hits");
+/// hits().incr();
+/// assert!(std::ptr::eq(hits(), hits()));
+/// ```
+#[macro_export]
+macro_rules! counter_handle {
+    ($(#[$doc:meta])* $fn_name:ident, $name:expr) => {
+        $(#[$doc])*
+        pub(crate) fn $fn_name() -> &'static $crate::metrics::Counter {
+            static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Counter>> =
+                ::std::sync::OnceLock::new();
+            HANDLE.get_or_init(|| $crate::metrics::counter($name))
+        }
+    };
+}
+
+/// Defines a crate-private accessor for the global histogram `$name`
+/// with bucket bounds `$buckets`, looked up once per process like
+/// [`counter_handle!`](crate::counter_handle).
+#[macro_export]
+macro_rules! histogram_handle {
+    ($(#[$doc:meta])* $fn_name:ident, $name:expr, $buckets:expr) => {
+        $(#[$doc])*
+        pub(crate) fn $fn_name() -> &'static $crate::metrics::Histogram {
+            static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Histogram>> =
+                ::std::sync::OnceLock::new();
+            HANDLE.get_or_init(|| $crate::metrics::histogram($name, $buckets))
+        }
+    };
+}
+
 /// Zeroes every metric in the global registry.
 pub fn reset() {
     global().reset();
