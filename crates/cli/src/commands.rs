@@ -8,7 +8,7 @@ use rchls_core::{
     flow, monte_carlo_reliability, Bounds, CacheBudget, Engine, EngineError, FlowSpec,
     RedundancyModel, SynthJob,
 };
-use rchls_explorer::{explore, explore_shard, export, CheckpointedSweep, ExploreTask};
+use rchls_explorer::{explore, explore_shard, export, Exploration, ExploreTask};
 use rchls_netlist::{generators, FaultInjector};
 use rchls_reslib::Library;
 use rchls_store::{GcPolicy, Lookup, ResultStore};
@@ -23,12 +23,13 @@ pub fn help() -> String {
      \x20 rchls synth --workload SPEC [--latency N] [--area N]\n\
      \x20       [--strategy <id>|paper] [--ii N] [--report json] [--trace FILE]\n\
      \x20       [--scheduler <id>] [--binder <id>] [--victim <id>] [--refine <id>]\n\
-     \x20       [--library <file>] [--mission-time T] [--store DIR]\n\
+     \x20       [--library <file>] [--mission-time T] [--cache-budget BYTES]\n\
+     \x20       [--store DIR]\n\
      \x20 rchls sweep --workload SPEC --latencies L1,L2,... --areas A1,A2,...\n\
-     \x20       [--format table|json|csv] [--store DIR] [--shard I/N]\n\
-     \x20       [--checkpoint-every N] [--resume]\n\
+     \x20       [--format table|json|csv] [--cache-budget BYTES] [--store DIR]\n\
+     \x20       [--shard I/N]\n\
      \x20 rchls pareto <SPEC> [--latencies ...] [--areas ...]\n\
-     \x20       [--format table|json|csv] [--store DIR]\n\
+     \x20       [--format table|json|csv] [--cache-budget BYTES] [--store DIR]\n\
      \x20 rchls merge <shard.json>... [--format table|json|csv]\n\
      \x20 rchls batch <jobs.json> [--jobs N] [--cache-budget BYTES]\n\
      \x20       [--library <file>] [--mission-time T] [--store DIR]\n\
@@ -109,8 +110,8 @@ pub fn help() -> String {
      stats|gc|verify` inspects and maintains a store (gc takes\n\
      --max-age-days and/or --max-bytes; verify re-synthesizes entries\n\
      from their provenance — --sample N caps how many — and flags\n\
-     drift). Long sweeps checkpoint with `--checkpoint-every N` and pick\n\
-     up where they left off with `--resume` (both need --store); `sweep\n\
+     drift). A sweep stores each point as soon as it is computed, so a\n\
+     killed sweep rerun with the same --store computes only the rest; `sweep\n\
      --shard I/N` covers a deterministic 1/N slice of the grid and\n\
      emits a shard document, and `rchls merge` recombines a complete\n\
      shard set into the byte-identical unsharded document. See\n\
@@ -119,8 +120,9 @@ pub fn help() -> String {
      global flags: --jobs N sizes the worker pool of the sweep, pareto,\n\
      batch, and serve commands (omitted = one worker per CPU; an explicit\n\
      --jobs 0 is rejected); parallel runs produce byte-identical output\n\
-     to serial runs. --cache-budget takes `unlimited` or a byte count\n\
-     with B/KiB/MiB/GiB suffixes.\n"
+     to serial runs. --cache-budget (synth, sweep, pareto, batch, serve)\n\
+     bounds the session caches without changing a byte of output; it\n\
+     takes `unlimited` or a byte count with B/KiB/MiB/GiB suffixes.\n"
         .to_owned()
 }
 
@@ -532,10 +534,12 @@ fn cache_budget_arg(args: &ParsedArgs) -> Result<CacheBudget, CliError> {
 }
 
 /// The session engine of `synth`, `sweep`, `pareto` and `batch`:
-/// `--library` (with `--mission-time`), `--jobs` and, when given,
-/// `--store`.
+/// `--library` (with `--mission-time`), `--jobs`, `--cache-budget` and,
+/// when given, `--store`.
 fn session_engine(args: &ParsedArgs) -> Result<Engine, CliError> {
-    let engine = Engine::new(load_library(args)?).with_jobs(jobs_arg(args)?);
+    let engine = Engine::new(load_library(args)?)
+        .with_jobs(jobs_arg(args)?)
+        .with_cache_budget(cache_budget_arg(args)?);
     Ok(match store_arg(args)? {
         Some(store) => engine.with_store(store),
         None => engine,
@@ -642,10 +646,61 @@ fn shard_arg(args: &ParsedArgs) -> Result<Option<(u32, u32)>, CliError> {
     Ok(Some((index, count)))
 }
 
-/// `rchls sweep`. The `resume` flag is the lifted valueless `--resume`.
-pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
+/// The `--format` of `sweep`, `merge` and `pareto`, parsed before any
+/// synthesis so a bad value costs nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Format {
+    Table,
+    Json,
+    Csv,
+}
+
+/// Parses `--format` (absent = `default`).
+fn format_arg(args: &ParsedArgs, default: Format) -> Result<Format, CliError> {
+    match args.get("format") {
+        None => Ok(default),
+        Some("table") => Ok(Format::Table),
+        Some("json") => Ok(Format::Json),
+        Some("csv") => Ok(Format::Csv),
+        Some(other) => Err(CliError::BadValue {
+            flag: "format".to_owned(),
+            reason: format!("{other:?} (expected table|json|csv)"),
+        }),
+    }
+}
+
+/// The one-benchmark sweep document of `sweep` and `merge`: the Table-2
+/// rows, or (json) the rows with per-strategy diagnostics plus the
+/// frontier.
+fn render_sweep(exploration: &Exploration, format: Format) -> String {
+    let rows = &exploration.sweeps[0].rows;
+    match format {
+        Format::Table => format_table(rows),
+        Format::Json => export::exploration_json(exploration) + "\n",
+        Format::Csv => export::rows_csv(rows),
+    }
+}
+
+/// `rchls sweep`: the full grid, or with `--shard I/N` one shard of it.
+pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
     let _faults = faults_arg(args)?;
     let spec = workload_spec_arg(args)?;
+    let shard = shard_arg(args)?;
+    let default = if shard.is_some() {
+        Format::Json
+    } else {
+        Format::Table
+    };
+    let format = format_arg(args, default)?;
+    if shard.is_some() && format != Format::Json {
+        return Err(CliError::BadValue {
+            flag: "format".to_owned(),
+            reason: format!(
+                "{:?} (a shard is always a json document for `rchls merge`)",
+                args.get("format").unwrap_or_default()
+            ),
+        });
+    }
     let engine = session_engine(args)?;
     let flow_spec = flow_from_args(args)?;
     let latencies = args.required_u32_list("latencies")?;
@@ -656,95 +711,20 @@ pub fn sweep(args: &ParsedArgs, resume: bool) -> Result<String, CliError> {
         .collect();
     let model = RedundancyModel::default();
     let task = ExploreTask::new(spec, grid);
-    let checkpointing = resume || args.get("checkpoint-every").is_some();
-
     // `--shard I/N`: cover a deterministic 1/N slice of the grid and
     // emit the shard document for a later `rchls merge`.
-    if let Some((index, count)) = shard_arg(args)? {
-        if checkpointing {
-            return Err(CliError::BadFlag(
-                "--shard is a single bounded pass; it cannot be combined with \
-                 --resume/--checkpoint-every"
-                    .to_owned(),
-            ));
-        }
-        match args.get("format").unwrap_or("json") {
-            "json" => {}
-            other => {
-                return Err(CliError::BadValue {
-                    flag: "format".to_owned(),
-                    reason: format!(
-                        "{other:?} (a shard is always a json document for `rchls merge`)"
-                    ),
-                })
-            }
-        }
+    if let Some((index, count)) = shard {
         let shard = explore_shard(&engine, &task, &flow_spec, model, index, count)?;
         return Ok(export::shard_json(&shard) + "\n");
     }
-
-    // `--checkpoint-every N` / `--resume`: warm the pending grid points
-    // into the store in chunks (checkpointing after each), then let the
-    // plain exploration below assemble the document entirely from the
-    // cache tiers — byte-identical no matter where a prior run died.
-    let warm = if checkpointing {
-        if engine.store().is_none() {
-            return Err(CliError::BadFlag(
-                "--resume/--checkpoint-every persist through the result store; add --store DIR"
-                    .to_owned(),
-            ));
-        }
-        let every = args.u32_or("checkpoint-every", 8)? as usize;
-        if every == 0 {
-            return Err(CliError::BadValue {
-                flag: "checkpoint-every".to_owned(),
-                reason: "checkpoint interval must be a positive point count".to_owned(),
-            });
-        }
-        let warm = CheckpointedSweep {
-            engine: &engine,
-            task: &task,
-            flow: &flow_spec,
-            model,
-            every,
-            resume,
-        };
-        let outcome = warm.run()?;
-        // Progress goes to stderr; stdout stays the deterministic
-        // document.
-        eprintln!(
-            "rchls sweep: {} grid points ({} resumed from checkpoint, {} computed, \
-             {} checkpoints written)",
-            outcome.total_points, outcome.skipped, outcome.computed, outcome.checkpoints_written
-        );
-        Some(warm)
-    } else {
-        None
-    };
-
     let exploration = explore(&engine, std::slice::from_ref(&task), &flow_spec, model)?;
-    if let Some(warm) = warm {
-        // The document is assembled; the checkpoint has served its
-        // purpose.
-        warm.clear();
-    }
-    let rows = &exploration.sweeps[0].rows;
-    match args.get("format").unwrap_or("table") {
-        "table" => Ok(format_table(rows)),
-        // Machine-consumable: rows with per-strategy diagnostics plus the
-        // frontier, as one JSON document.
-        "json" => Ok(export::exploration_json(&exploration) + "\n"),
-        "csv" => Ok(export::rows_csv(rows)),
-        other => Err(CliError::BadValue {
-            flag: "format".to_owned(),
-            reason: format!("{other:?} (expected table|json|csv)"),
-        }),
-    }
+    Ok(render_sweep(&exploration, format))
 }
 
 /// `rchls merge` — recombine a complete set of `sweep --shard` documents
 /// into the exploration document the unsharded sweep would have emitted.
 pub fn merge(args: &ParsedArgs, inputs: &[String]) -> Result<String, CliError> {
+    let format = format_arg(args, Format::Table)?;
     if inputs.is_empty() {
         return Err(CliError::BadFlag(
             "merge needs shard document paths (rchls merge shard0.json shard1.json ...)".to_owned(),
@@ -759,22 +739,14 @@ pub fn merge(args: &ParsedArgs, inputs: &[String]) -> Result<String, CliError> {
         })
         .collect::<Result<_, _>>()?;
     let exploration = rchls_explorer::merge(&shards).map_err(|e| CliError::Store(e.to_string()))?;
-    let rows = &exploration.sweeps[0].rows;
-    match args.get("format").unwrap_or("table") {
-        "table" => Ok(format_table(rows)),
-        "json" => Ok(export::exploration_json(&exploration) + "\n"),
-        "csv" => Ok(export::rows_csv(rows)),
-        other => Err(CliError::BadValue {
-            flag: "format".to_owned(),
-            reason: format!("{other:?} (expected table|json|csv)"),
-        }),
-    }
+    Ok(render_sweep(&exploration, format))
 }
 
 /// `rchls pareto` — explore a benchmark's design space and print the
 /// Pareto frontier over achieved `(latency, area, reliability)`.
 pub fn pareto(args: &ParsedArgs) -> Result<String, CliError> {
     let spec = workload_spec_arg(args)?;
+    let format = format_arg(args, Format::Table)?;
     let engine = session_engine(args)?;
     let dfg = engine.workload(&spec)?.dfg;
     let flow_spec = flow_from_args(args)?;
@@ -800,12 +772,12 @@ pub fn pareto(args: &ParsedArgs) -> Result<String, CliError> {
     let points = grid.len();
     let tasks = [ExploreTask::new(spec, grid)];
     let exploration = explore(&engine, &tasks, &flow_spec, RedundancyModel::default())?;
-    match args.get("format").unwrap_or("table") {
+    match format {
         // Machine-consumable: frontier plus diagnostics-carrying sweep
         // rows, as one JSON document.
-        "json" => Ok(export::exploration_json(&exploration) + "\n"),
-        "csv" => Ok(export::frontier_csv(&exploration.frontier)),
-        "table" => {
+        Format::Json => Ok(export::exploration_json(&exploration) + "\n"),
+        Format::Csv => Ok(export::frontier_csv(&exploration.frontier)),
+        Format::Table => {
             let mut out = format!(
                 "Pareto frontier of {} over {points} bound points ({} synthesis runs):\n\n",
                 dfg.name(),
@@ -821,10 +793,6 @@ pub fn pareto(args: &ParsedArgs) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        other => Err(CliError::BadValue {
-            flag: "format".to_owned(),
-            reason: format!("{other:?} (expected table|json|csv)"),
-        }),
     }
 }
 
@@ -840,7 +808,7 @@ pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     // Flag validation comes before any filesystem work so a bad
     // `--jobs`/`--cache-budget` reports itself even for a missing file.
     jobs_arg(args)?;
-    let budget = cache_budget_arg(args)?;
+    cache_budget_arg(args)?;
     let _faults = faults_arg(args)?;
     let path = args.required("file")?;
     let text = std::fs::read_to_string(path)?;
@@ -848,8 +816,7 @@ pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
         flag: "file".to_owned(),
         reason: format!("{path}: {e}"),
     })?;
-    let engine = session_engine(args)?.with_cache_budget(budget);
-    let report = engine.run_batch(&jobs);
+    let report = session_engine(args)?.run_batch(&jobs);
     Ok(serde_json::to_string_pretty(&report).expect("batch reports serialize") + "\n")
 }
 
@@ -1089,12 +1056,11 @@ pub fn store(args: &ParsedArgs) -> Result<String, CliError> {
         "stats" => {
             let s = store.stats();
             Ok(format!(
-                "result store {}:\n  objects      {}\n  object bytes {}\n  quarantined  {}\n  checkpoints  {}\n",
+                "result store {}:\n  objects      {}\n  object bytes {}\n  quarantined  {}\n",
                 store.root().display(),
                 s.objects,
                 s.object_bytes,
-                s.quarantined,
-                s.checkpoints
+                s.quarantined
             ))
         }
         "gc" => {

@@ -55,11 +55,13 @@
 //! `--jobs N` flag sizing their worker pool (omitted: one worker per
 //! CPU; an explicit `--jobs 0` is rejected); parallel output is
 //! byte-identical to serial output. The synth, sweep, pareto, batch,
-//! and serve commands accept `--store DIR`, a persistent
-//! content-addressed result store backing the in-memory cache — warm
-//! runs replay stored reports byte-identically; `sweep` adds
-//! `--shard i/n`, `--checkpoint-every N`, and `--resume` on top of it
-//! (see `docs/store.md`).
+//! and serve commands accept `--cache-budget`, which bounds the session
+//! caches without changing a byte of output, and `--store DIR`, a
+//! persistent content-addressed result store backing the in-memory
+//! cache — warm runs replay stored reports byte-identically, and a
+//! killed sweep rerun with the same store computes only the points it
+//! had not finished. `sweep --shard i/n` splits a grid across processes
+//! for `merge` (see `docs/store.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -125,39 +127,17 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     } else {
         rest
     };
-    // `serve --check` and `sweep --resume` are the two valueless flags;
-    // lift them out before the `--flag value` parser sees them.
-    let mut serve_check = false;
-    let mut sweep_resume = false;
-    let rest: Vec<String> = match command.as_str() {
-        "serve" => rest
-            .into_iter()
-            .filter(|arg| {
-                if arg == "--check" {
-                    serve_check = true;
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect(),
-        "sweep" => rest
-            .into_iter()
-            .filter(|arg| {
-                if arg == "--resume" {
-                    sweep_resume = true;
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect(),
-        _ => rest,
-    };
+    // `serve --check` is the one valueless flag; lift it out before the
+    // `--flag value` parser sees it.
+    let serve_check = command == "serve" && rest.iter().any(|arg| arg == "--check");
+    let rest: Vec<String> = rest
+        .into_iter()
+        .filter(|arg| !(serve_check && arg == "--check"))
+        .collect();
     let parsed = ParsedArgs::parse(&rest)?;
     match command.as_str() {
         "synth" => commands::synth(&parsed),
-        "sweep" => commands::sweep(&parsed, sweep_resume),
+        "sweep" => commands::sweep(&parsed),
         "pareto" => commands::pareto(&parsed),
         "batch" => commands::batch(&parsed),
         "merge" => commands::merge(&parsed, &merge_inputs),
@@ -906,6 +886,53 @@ mod tests {
         // Malformed budgets report clearly.
         let err = run(&s(&["batch", path, "--cache-budget", "lots"])).unwrap_err();
         assert!(err.to_string().contains("cache budget"));
+    }
+
+    #[test]
+    fn sweep_and_pareto_read_the_cache_budget() {
+        let sweep = s(&[
+            "sweep",
+            "--workload",
+            "builtin:diffeq",
+            "--latencies",
+            "5,6,7",
+            "--areas",
+            "7,11",
+            "--format",
+            "json",
+        ]);
+        let reference = run(&sweep).unwrap();
+        let starved = run(&[sweep.clone(), s(&["--cache-budget", "0"])].concat()).unwrap();
+        assert_eq!(starved, reference);
+        for command in [sweep, s(&["pareto", "figure4a"])] {
+            let err = run(&[command, s(&["--cache-budget", "lots"])].concat()).unwrap_err();
+            assert!(err.to_string().contains("cache budget"), "{err}");
+        }
+    }
+
+    #[test]
+    fn bad_formats_fail_before_any_synthesis() {
+        let dir =
+            std::env::temp_dir().join(format!("rchls-cli-format-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = dir.join("store");
+        let store = store.to_str().unwrap();
+        let grid = ["--latencies", "5,6,7", "--areas", "7,11"];
+        for command in [
+            &["sweep", "--workload", "builtin:diffeq"][..],
+            &["pareto", "builtin:diffeq"][..],
+        ] {
+            let args = [command, &grid, &["--format", "xml", "--store", store]].concat();
+            let err = run(&s(&args)).unwrap_err();
+            assert!(err.to_string().contains("table|json|csv"), "{err}");
+        }
+        let objects = dir.join("store").join("objects");
+        let stored = std::fs::read_dir(&objects).map_or(0, Iterator::count);
+        assert_eq!(stored, 0, "a rejected format synthesized into the store");
+        // `merge` rejects the format before it opens any shard document.
+        let err = run(&s(&["merge", "missing-shard.json", "--format", "xml"])).unwrap_err();
+        assert!(err.to_string().contains("table|json|csv"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end tests over the real `rchls` binary: persistent-store
-//! byte-identity across cold/warm/corrupted states, kill-and-resume
-//! sweeps, shard/merge recombination, and store maintenance commands.
+//! byte-identity across cold/warm/corrupted states, killed sweeps rerun
+//! over their store, shard/merge recombination, and store maintenance
+//! commands.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -163,8 +164,8 @@ fn killed_sweep_resumes_to_the_byte_identical_document() {
     let store = dir.join("store");
     let store_arg = store.to_str().unwrap();
     // A 12-point grid over a 24-node workload: enough work that the
-    // child is still mid-sweep when the first checkpoint lands.
-    let base = [
+    // child is still mid-sweep when its first object lands.
+    let mut sweep = vec![
         "sweep",
         "--workload",
         "random:24x6@7",
@@ -175,44 +176,37 @@ fn killed_sweep_resumes_to_the_byte_identical_document() {
         "--format",
         "json",
     ];
-    let reference = ok(&base);
+    let reference = ok(&sweep);
+    sweep.extend_from_slice(&["--store", store_arg]);
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_rchls"))
-        .args(base)
-        .args(["--store", store_arg, "--checkpoint-every", "1"])
+        .args(&sweep)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn sweep");
-    // Kill -9 as soon as the first checkpoint is on disk.
-    let checkpoints = store.join("checkpoints");
+    // Kill -9 as soon as the first point is stored.
+    let objects = store.join("objects");
     let deadline = Instant::now() + Duration::from_secs(60);
-    while files_under(&checkpoints).is_empty() {
+    while files_under(&objects).is_empty() {
         if child.try_wait().expect("poll child").is_some() {
-            break; // Finished before we could kill it; resume still must work.
+            break; // Finished before we could kill it; the rerun still must match.
         }
-        assert!(Instant::now() < deadline, "no checkpoint within 60s");
+        assert!(Instant::now() < deadline, "no stored object within 60s");
         std::thread::sleep(Duration::from_millis(2));
     }
     let _ = child.kill();
     let _ = child.wait();
 
-    // Resume from whatever survived; the document must not care.
-    let mut resume = base.to_vec();
-    resume.extend_from_slice(&["--store", store_arg, "--checkpoint-every", "1", "--resume"]);
-    let out = rchls(&resume);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // The same command again: the store answers the finished points,
+    // the rest are computed, and the document must not care.
     assert_eq!(
-        String::from_utf8(out.stdout).unwrap(),
+        ok(&sweep),
         reference,
-        "resumed sweep diverged from the uninterrupted document"
+        "rerun sweep diverged from the uninterrupted document"
     );
-    // The finished run retires its checkpoint.
-    assert!(files_under(&checkpoints).is_empty());
+    let report = ok(&["store", "verify", "--store", store_arg]);
+    assert!(report.contains(" 0 drifted"), "{report}");
 }
 
 #[test]

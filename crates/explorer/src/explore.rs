@@ -2,10 +2,13 @@
 //! into engine jobs, assemble sweep tables, and archive the Pareto
 //! frontier.
 //!
-//! Every sweep here — [`explore`], [`crate::explore_shard`] and the
-//! [`crate::CheckpointedSweep`] warm pass — synthesizes only through
-//! [`Engine::synth_batch`], and strategies are named by registry id
-//! ([`TABLE2`]), so out-of-tree strategies sweep exactly like built-ins.
+//! Every sweep here — [`explore`] and [`crate::explore_shard`] —
+//! synthesizes only through [`Engine::synth_batch`], and strategies are
+//! named by registry id ([`TABLE2`]), so out-of-tree strategies sweep
+//! exactly like built-ins. Through an engine with a
+//! [`ResultStore`](rchls_store::ResultStore) attached, each point
+//! persists as soon as it is computed, so a killed sweep rerun over the
+//! same store synthesizes only the points that never landed.
 
 use crate::pareto::{FrontierPoint, ParetoArchive};
 use rchls_core::engine::InternedWorkload;
@@ -254,6 +257,9 @@ pub fn default_grid(dfg: &Dfg, library: &Library) -> Option<Vec<(u32, u32)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::exploration_json;
+    use rchls_store::ResultStore;
+    use std::sync::Arc;
 
     fn engine() -> Engine {
         Engine::new(Library::table1())
@@ -325,6 +331,35 @@ mod tests {
                 assert!(w[1] + 1e-9 >= w[0], "loosening {axis} lowered reliability");
             }
         }
+    }
+
+    #[test]
+    fn a_sweep_over_a_partial_store_computes_only_the_pending_points() {
+        // A sweep killed after two points leaves their results in the
+        // store. The same sweep rerun over that store reads them back,
+        // synthesizes only the rest, and prints the uninterrupted document.
+        let dir = std::env::temp_dir().join(format!(
+            "rchls-explore-test-{}-partial-store",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ResultStore::open(&dir).expect("store opens"));
+        let grid = [(5, 11), (6, 13), (7, 9), (4, 2), (6, 11)];
+        let (done, pending) = grid.split_at(2);
+        let sweep = |engine: &Engine, grid: &[(u32, u32)]| {
+            let task = ExploreTask::new("builtin:diffeq", grid.to_vec());
+            let (flow, model) = (FlowSpec::default(), RedundancyModel::default());
+            exploration_json(&explore(engine, &[task], &flow, model).unwrap())
+        };
+        sweep(&engine().with_jobs(1).with_store(Arc::clone(&store)), done);
+
+        let rerun = engine().with_jobs(2).with_store(Arc::clone(&store));
+        assert_eq!(sweep(&rerun, &grid), sweep(&engine().with_jobs(1), &grid));
+        let fresh = engine().with_jobs(1);
+        sweep(&fresh, pending);
+        assert!(fresh.cache_stats().misses > 0);
+        assert_eq!(rerun.cache_stats().misses, fresh.cache_stats().misses);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //!   [`Engine::synth_batch`](rchls_core::Engine::synth_batch), so a sweep
 //!   shares the engine's interned workloads, its fingerprint cache and
 //!   store tier, and its worker pool (a parallel run is
-//!   byte-identical to a serial one);
+//!   byte-identical to a serial one, and a killed sweep rerun over the
+//!   same store synthesizes only the points it had not finished);
 //! * [`ParetoArchive`] — maintains the non-dominated frontier over
 //!   achieved `(latency, area, reliability)` with dominance pruning and
 //!   a deterministic iteration order;
-//! * [`shard`] and [`resume`] — split a grid across processes and merge
-//!   the pieces losslessly, or checkpoint a long sweep into the store;
+//! * [`shard`] — split a grid across processes and merge the pieces
+//!   losslessly;
 //! * [`export`] — JSON and CSV renderings of frontiers and sweep tables.
 //!
 //! Strategies and passes are addressed by registry id through the
@@ -56,10 +57,8 @@
 mod explore;
 pub mod export;
 mod pareto;
-pub mod resume;
 pub mod shard;
 
 pub use explore::{default_grid, explore, BenchmarkSweep, Exploration, ExploreTask};
 pub use pareto::{FrontierPoint, ParetoArchive};
-pub use resume::{sweep_fingerprint, CheckpointedSweep, ResumeOutcome, SweepCheckpoint};
-pub use shard::{explore_shard, merge, MergeError, SweepShard};
+pub use shard::{explore_shard, merge, sweep_fingerprint, MergeError, SweepShard};

@@ -18,14 +18,46 @@
 
 use crate::explore::{resolve, synthesize, BenchmarkSweep, Exploration, ExploreTask};
 use crate::pareto::ParetoArchive;
-use crate::resume::sweep_fingerprint;
-use rchls_core::explore::{inherit, SweepRow};
-use rchls_core::{Engine, EngineError, FlowSpec, RedundancyModel};
+use rchls_core::engine::Fingerprint;
+use rchls_core::explore::{inherit, SweepRow, TABLE2};
+use rchls_core::{flow, Engine, EngineError, FlowSpec, RedundancyModel};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// On-disk schema version of [`SweepShard`] documents.
 pub const SHARD_SCHEMA_VERSION: u32 = 1;
+
+/// Deterministic identity of one sweep configuration: the graph, its
+/// name and canonical workload spec, the engine's library, the full
+/// bound grid, the flow, the redundancy model, and the Table-2 strategy
+/// tokens. Stable across processes; every shard document carries it so
+/// [`merge`] can refuse shards of different sweeps.
+///
+/// # Errors
+///
+/// Returns [`EngineError::Workload`] when the task's spec does not
+/// resolve.
+pub fn sweep_fingerprint(
+    engine: &Engine,
+    task: &ExploreTask,
+    flow: &FlowSpec,
+    model: RedundancyModel,
+) -> Result<u64, EngineError> {
+    let workload = engine.workload(&task.workload)?;
+    let mut fp = Fingerprint::new();
+    fp.update(workload.dfg.name());
+    fp.update(&Some(workload.spec));
+    fp.update(&*workload.dfg);
+    fp.update(engine.library());
+    fp.update(&task.grid);
+    fp.update(flow);
+    fp.update(&model);
+    for id in TABLE2 {
+        let strategy = flow::strategy(id).expect("built-in strategies are always registered");
+        fp.update(&strategy.fingerprint_token());
+    }
+    Ok(fp.finish())
+}
 
 /// One shard of a partitioned sweep: the raw rows and local frontier of
 /// the grid indices congruent to `shard_index` modulo `shard_count`.
@@ -266,6 +298,52 @@ mod tests {
             RedundancyModel::default(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn fingerprint_tracks_the_sweep_configuration() {
+        let task = task();
+        let engine = engine(1);
+        let flow = FlowSpec::default();
+        let model = RedundancyModel::default();
+        let fp = sweep_fingerprint(&engine, &task, &flow, model).unwrap();
+        assert_eq!(fp, sweep_fingerprint(&engine, &task, &flow, model).unwrap());
+        let mut wider = task.clone();
+        wider.grid.push((9, 9));
+        assert_ne!(
+            fp,
+            sweep_fingerprint(&engine, &wider, &flow, model).unwrap()
+        );
+        assert_ne!(
+            fp,
+            sweep_fingerprint(&engine, &task, &flow.clone().with_refine("none"), model).unwrap()
+        );
+        // Any spelling of the workload is the same sweep.
+        let respelled = ExploreTask::new("diffeq", task.grid.clone());
+        assert_eq!(
+            fp,
+            sweep_fingerprint(&engine, &respelled, &flow, model).unwrap()
+        );
+    }
+
+    /// [`merge`] refuses shards whose fingerprints differ, so a silent
+    /// change would leave every shard document an older build wrote
+    /// unmergeable with the new build's. The literal is the CI sweep's
+    /// (`rchls sweep --workload builtin:diffeq --latencies 5,6,7 --areas
+    /// 7,11`) as shard documents record it.
+    #[test]
+    fn fingerprint_of_the_ci_sweep_is_pinned() {
+        let grid = [5, 6, 7]
+            .into_iter()
+            .flat_map(|l| [7, 11].map(|a| (l, a)))
+            .collect();
+        let fp = sweep_fingerprint(
+            &engine(1),
+            &ExploreTask::new("builtin:diffeq", grid),
+            &FlowSpec::default(),
+            RedundancyModel::default(),
+        );
+        assert_eq!(fp, Ok(11_150_032_256_022_472_317));
     }
 
     #[test]

@@ -64,6 +64,7 @@ impl ServeConfig {
     }
 
     /// Checks the configuration without binding anything.
+    /// [`Server::start`](crate::Server::start) runs it before it binds.
     ///
     /// # Errors
     ///

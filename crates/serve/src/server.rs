@@ -229,13 +229,20 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds `config.addr` and starts the accept loop. Synthesis runs on
-    /// the engine's worker pool, which starts its threads on demand.
+    /// Validates `config`, binds `config.addr` and starts the accept
+    /// loop. Synthesis runs on the engine's worker pool, which starts its
+    /// threads on demand.
     ///
     /// # Errors
     ///
-    /// Returns the bind error when the address is unusable.
+    /// Returns an [`std::io::ErrorKind::InvalidInput`] error carrying the
+    /// [`ServeConfig::validate`] message before binding anything when the
+    /// configuration is invalid, and the bind error when the address is
+    /// unusable.
     pub fn start(config: ServeConfig, library: Library) -> std::io::Result<ServerHandle> {
+        config
+            .validate()
+            .map_err(|reason| std::io::Error::new(std::io::ErrorKind::InvalidInput, reason))?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let mut engine = Engine::new(library)
@@ -1020,7 +1027,6 @@ fn store_value(engine: &Engine) -> Value {
                 (key("objects"), Value::UInt(stats.objects)),
                 (key("object_bytes"), Value::UInt(stats.object_bytes)),
                 (key("quarantined"), Value::UInt(stats.quarantined)),
-                (key("checkpoints"), Value::UInt(stats.checkpoints)),
             ])
         }
     }

@@ -201,20 +201,95 @@ fn sweep_and_pareto_match_offline_exploration_json() {
 
 #[test]
 fn full_queue_rejects_with_structured_overload() {
-    // queue_depth 0: every heavy request is refused at admission with a
-    // retry hint — no hang, no panic — while admin methods still work.
-    // `ServeConfig::validate` rejects this depth, so only a server started
-    // without validation, as here, ever runs with it.
-    let (handle, addr) = start(ephemeral(1, 0));
-    let mut client = Client::connect(&addr).unwrap();
-    let params = serde_json::to_value(&SynthJob::new("builtin:figure4a", 6, 4));
-    let doc = client.call("synth", Some(&params), None).unwrap();
-    assert_eq!(response_error_kind(&doc), Some("overloaded"));
-    let error = map_get(doc.as_map().unwrap(), "error").unwrap();
+    /// Whether the held run has started, and whether it may finish.
+    static HELD: (std::sync::Mutex<(bool, bool)>, std::sync::Condvar) = (
+        std::sync::Mutex::new((false, false)),
+        std::sync::Condvar::new(),
+    );
+    /// Holds its worker until released (or ten seconds pass), then
+    /// answers as `baseline`.
+    struct Hold;
+    impl rchls_core::Strategy for Hold {
+        fn id(&self) -> &str {
+            "e2e-hold-until-released"
+        }
+        fn run(
+            &self,
+            request: &rchls_core::SynthRequest<'_>,
+        ) -> Result<rchls_core::SynthReport, rchls_core::SynthesisError> {
+            let (state, changed) = &HELD;
+            let mut state = state.lock().unwrap();
+            state.0 = true;
+            changed.notify_all();
+            let timeout = std::time::Duration::from_secs(10);
+            let released = changed.wait_timeout_while(state, timeout, |s| !s.1);
+            drop(released);
+            baseline(request)
+        }
+    }
+    let _ = rchls_core::flow::register_strategy(std::sync::Arc::new(Hold));
+
+    // One worker, one queue slot.
+    let (handle, addr) = start(ephemeral(1, 1));
+    let (answered, answers) = std::sync::mpsc::channel();
+    let send = |job: SynthJob| {
+        let (addr, answered) = (addr.clone(), answered.clone());
+        std::thread::spawn(move || {
+            let params = serde_json::to_value(&job);
+            let mut client = Client::connect(&addr).unwrap();
+            let doc = client.call("synth", Some(&params), None).unwrap();
+            let _ = answered.send((doc, client));
+        })
+    };
+    let held =
+        send(SynthJob::new("builtin:figure4a", 6, 4).with_strategy("e2e-hold-until-released"));
+    {
+        let (state, changed) = &HELD;
+        let timeout = std::time::Duration::from_secs(10);
+        let state = changed
+            .wait_timeout_while(state.lock().unwrap(), timeout, |s| !s.0)
+            .unwrap()
+            .0;
+        assert!(state.0, "the held run never started");
+    }
+
+    // The held run occupies the only worker. Two more requests race for
+    // the one queue slot: the loser is refused at admission with a retry
+    // hint, at once — no hang, no panic.
+    let racers = [7, 8].map(|latency| send(SynthJob::new("builtin:figure4a", latency, 4)));
+    let wait = std::time::Duration::from_secs(10);
+    let (refused, mut client) = answers.recv_timeout(wait).expect("an immediate rejection");
+    assert_eq!(
+        response_error_kind(&refused),
+        Some("overloaded"),
+        "{refused:?}"
+    );
+    let error = map_get(refused.as_map().unwrap(), "error").unwrap();
     assert!(map_get(error.as_map().unwrap(), "retry_after_ms").is_some());
-    // The connection survives the rejection.
+    // The connection survives the rejection, and admin methods still
+    // answer while the worker is held.
     let pong = client.call("ping", None, None).unwrap();
     assert!(response_result(&pong).is_some());
+
+    // Released, the worker answers the held run and then the queued one.
+    HELD.0.lock().unwrap().1 = true;
+    HELD.1.notify_all();
+    for _ in 0..2 {
+        let (doc, _) = answers.recv_timeout(wait).expect("queued work is answered");
+        assert!(response_result(&doc).is_some(), "{doc:?}");
+    }
+    held.join().unwrap();
+    for racer in racers {
+        racer.join().unwrap();
+    }
+
+    // A zero-depth queue would refuse every heavy request, so `start`
+    // rejects it before binding.
+    let err = Server::start(ephemeral(1, 0), Library::table1())
+        .err()
+        .expect("depth 0 is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("--queue-depth"), "{err}");
     handle.shutdown();
     handle.join();
 }

@@ -25,9 +25,6 @@
 //!   misheadered, or wrongly-keyed entry is moved to `quarantine/` and
 //!   reported as [`Lookup::Quarantined`]; the caller treats it as a
 //!   miss and re-synthesizes. A wrong report is never returned.
-//! * **Checkpoints** — long sweeps persist resumable progress snapshots
-//!   under `checkpoints/`, with the same header validation and
-//!   quarantine discipline.
 //!
 //! The store knows nothing about synthesis: payloads are opaque strings
 //! (in practice JSON documents produced by `rchls-core`). That keeps
@@ -120,8 +117,6 @@ pub struct StoreStats {
     pub object_bytes: u64,
     /// Files parked under `quarantine/`.
     pub quarantined: u64,
-    /// Checkpoint snapshots under `checkpoints/`.
-    pub checkpoints: u64,
 }
 
 /// Monotone process-wide sequence for unique tmp/quarantine names
@@ -151,7 +146,7 @@ impl ResultStore {
     /// created (permissions, `root` is a file, ...).
     pub fn open(root: impl Into<PathBuf>) -> Result<ResultStore, StoreError> {
         let root = root.into();
-        for sub in ["objects", "tmp", "quarantine", "checkpoints"] {
+        for sub in ["objects", "tmp", "quarantine"] {
             let dir = root.join(sub);
             std::fs::create_dir_all(&dir).map_err(|e| StoreError::new("open", &dir, e))?;
         }
@@ -209,35 +204,6 @@ impl ResultStore {
         self.quarantine_file(&self.object_path(key))
     }
 
-    /// Looks up the checkpoint stored under `key`, with the same
-    /// validation and quarantine discipline as [`ResultStore::load`].
-    #[must_use]
-    pub fn load_checkpoint(&self, key: u64) -> Lookup {
-        self.load_file(&self.checkpoint_path(key), key)
-    }
-
-    /// Atomically writes a checkpoint snapshot under `key`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StoreError`] when the write or rename fails.
-    pub fn save_checkpoint(&self, key: u64, payload: &str) -> Result<(), StoreError> {
-        self.save_file(&self.checkpoint_path(key), key, payload)
-    }
-
-    /// Removes the checkpoint under `key` (a completed run's snapshot
-    /// is stale the moment the final document exists). Missing files
-    /// are fine.
-    pub fn remove_checkpoint(&self, key: u64) {
-        let _ = std::fs::remove_file(self.checkpoint_path(key));
-    }
-
-    fn checkpoint_path(&self, key: u64) -> PathBuf {
-        self.root
-            .join("checkpoints")
-            .join(format!("{key:016x}.json"))
-    }
-
     /// Every live object key, ascending. (Directory listings come back
     /// in filesystem order; sorting makes iteration deterministic.)
     #[must_use]
@@ -263,7 +229,6 @@ impl ResultStore {
             objects: files.len() as u64,
             object_bytes,
             quarantined: count_files(&self.root.join("quarantine")),
-            checkpoints: count_files(&self.root.join("checkpoints")),
         }
     }
 
@@ -582,30 +547,6 @@ mod tests {
         assert!(!store.quarantine_object(5), "already gone");
         assert_eq!(store.load(5), Lookup::Miss);
         assert_eq!(store.stats().quarantined, 1);
-    }
-
-    #[test]
-    fn checkpoints_round_trip_and_quarantine_like_objects() {
-        let store = ResultStore::open(scratch("checkpoint")).unwrap();
-        assert_eq!(store.load_checkpoint(11), Lookup::Miss);
-        store
-            .save_checkpoint(11, r#"{"completed": [0, 1]}"#)
-            .unwrap();
-        assert_eq!(
-            store.load_checkpoint(11),
-            Lookup::Hit(r#"{"completed": [0, 1]}"#.to_owned())
-        );
-        assert_eq!(store.stats().checkpoints, 1);
-        // Corrupt it: quarantined, then treated as absent.
-        let path = store.checkpoint_path(11);
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        assert_eq!(store.load_checkpoint(11), Lookup::Quarantined);
-        assert_eq!(store.load_checkpoint(11), Lookup::Miss);
-        store.save_checkpoint(11, "again").unwrap();
-        store.remove_checkpoint(11);
-        assert_eq!(store.load_checkpoint(11), Lookup::Miss);
-        assert_eq!(store.stats().checkpoints, 0);
     }
 
     #[test]

@@ -105,23 +105,3 @@ fn injected_read_faults_quarantine_live_entries() {
     store.save(8, "fresh").unwrap();
     assert_eq!(store.load(8), Lookup::Hit("fresh".to_owned()));
 }
-
-#[test]
-fn checkpoints_share_the_write_points() {
-    let _guard = chaos_lock();
-    let store = ResultStore::open(scratch("checkpoint")).unwrap();
-    arm(r#"{"schema_version": 1, "faults": [
-        {"point": "store.write.fsync", "action": "error", "hits": [1]}
-    ]}"#);
-    // save_file is shared between objects and checkpoints, so the
-    // store.write.* points guard both (documented in docs/chaos.md).
-    let err = store
-        .save_checkpoint(3, "snapshot")
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("store.write.fsync"), "{err}");
-    assert_eq!(store.load_checkpoint(3), Lookup::Miss);
-    store.save_checkpoint(3, "snapshot").unwrap();
-    assert_eq!(store.load_checkpoint(3), Lookup::Hit("snapshot".to_owned()));
-    rchls_chaos::disarm();
-}
