@@ -1,6 +1,7 @@
-//! Quality ablation for the design choices DESIGN.md calls out: how much
-//! reliability each engine ingredient buys, per benchmark, at the
-//! tightest Table-2 bounds.
+//! Quality ablation of the default flow's departure from the paper's
+//! Figure-6 pseudo-code (see "Departures from the paper" in README.md):
+//! how much reliability each engine ingredient buys, per benchmark, at
+//! the tightest Table-2 bounds.
 //!
 //! Rows: strict Figure-6 greedy (the paper's pseudo-code), + portfolio
 //! starts & refinement (the default engine), scheduler and binder

@@ -38,8 +38,9 @@ fn main() {
         "paper reports 0.90713 with one adder1 + one adder2 (area 3); that\n\
          allocation cannot execute the graph's D/E pair concurrently, so the\n\
          consistent optimum at (5, 4) is the all-type-2 design — see\n\
-         EXPERIMENTS.md. Loosening the latency bound by one cycle lets the\n\
-         mixed design win, which is the paper's actual point:"
+         \"Departures from the paper\" in README.md. Loosening the latency\n\
+         bound by one cycle lets the mixed design win, which is the paper's\n\
+         actual point:"
     );
     let relaxed = Synthesizer::new(&dfg, &library)
         .synthesize(Bounds::new(6, 4))

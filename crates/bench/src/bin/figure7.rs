@@ -3,8 +3,8 @@
 //! approach, under the tightest consistent bounds.
 //!
 //! The paper uses Ld = 11, Ad = 8 — infeasible under its own Table-1
-//! areas (see EXPERIMENTS.md) — so this binary reports the same
-//! comparison at the shifted knee Ld = 12, Ad = 8.
+//! areas (see "Departures from the paper" in README.md) — so this binary
+//! reports the same comparison at the shifted knee Ld = 12, Ad = 8.
 
 use rchls_bind::{bind_left_edge, Assignment};
 use rchls_core::{Bounds, Synthesizer};

@@ -2,7 +2,8 @@
 //! Criterion benches.
 //!
 //! Each binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md's per-experiment index):
+//! evaluation (where one departs from the paper's printed numbers,
+//! "Departures from the paper" in README.md says why):
 //!
 //! * `table1` — the characterized component library;
 //! * `figure5` — the two schedules of the Figure 4(a) example;
@@ -26,7 +27,7 @@ use rchls_reslib::Library;
 /// that are feasible under a *consistent* Table-1 area accounting — the
 /// paper's FIR/EWF cells are infeasible under its own Table 1 (its
 /// Figure 7a calls a 2×Add2 + 2×Mul2 design "8 units" when Table 1 sums
-/// it to 12; see EXPERIMENTS.md for the full reconciliation).
+/// it to 12; see "Departures from the paper" in README.md).
 #[must_use]
 pub fn table2_grid(benchmark: &str) -> Vec<(u32, u32)> {
     match benchmark {

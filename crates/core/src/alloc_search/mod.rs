@@ -1613,9 +1613,9 @@ mod tests {
     fn best_allocation_maps_fir_feasibility_frontier() {
         // Under a *consistent* Table-1 area accounting, FIR at Ld=11 needs
         // at least 9 area units (the paper's Fig. 7 claims (11, 8), but
-        // its own resource list sums to 12 — see EXPERIMENTS.md). The
-        // allocation search must find the frontier point and reject the
-        // point just inside it.
+        // its own resource list sums to 12 — see "Departures from the
+        // paper" in README.md). The allocation search must find the
+        // frontier point and reject the point just inside it.
         let g = rchls_workloads::fir16();
         let lib = Library::table1();
         assert!(best_allocation_design(&g, &lib, Bounds::new(11, 8)).is_none());

@@ -50,7 +50,6 @@
 mod budget;
 mod cache;
 mod fingerprint;
-mod flight;
 mod memo;
 mod pool;
 mod starts;
@@ -1076,5 +1075,88 @@ mod tests {
         let json = serde_json::to_string_pretty(&batch).unwrap();
         let back: BatchReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, batch);
+    }
+}
+
+/// Single-flight tests of the memo tables: a request that arrives while
+/// another fills its key joins that fill. The tests keep the ids they
+/// had when the in-flight slots were a module of their own, and one
+/// name dates from when a joiner helped the allocation search it
+/// joined; a joiner now only waits (see the `memo` module docs).
+#[cfg(test)]
+mod flight {
+    mod tests {
+        use crate::engine::cache::CacheStats;
+        use crate::engine::memo::{Fill, Memo};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        /// Key 7's value under facts 1, filled by `fill` on a miss.
+        fn get(memo: &Memo<u32, String>, fill: impl FnOnce() -> Fill<String>) -> String {
+            let filled = memo.get_or_fill(7, |f| *f == 1, || 1, |_| Ok::<_, ()>(fill()));
+            String::clone(&filled.unwrap())
+        }
+
+        /// A request that arrives while the leader fills takes no part in
+        /// the fill: it waits, and returns the leader's value as a hit and
+        /// a `.joined`.
+        #[test]
+        fn a_joiner_arriving_mid_scan_helps_and_returns_the_leaders_value() {
+            // The only table that records into `memo_test.*`.
+            let memo = Memo::new(crate::obs::memo_test, |_, value: &String| value.capacity());
+            let joined = || crate::obs::memo_test().joined.get();
+            let before = joined();
+            let (led, leading) = mpsc::channel();
+            std::thread::scope(|scope| {
+                let memo = &memo;
+                let leader = scope.spawn(move || {
+                    get(memo, || {
+                        led.send(()).unwrap();
+                        memo.await_joiners(7, 1);
+                        Fill::Computed("a".into())
+                    })
+                });
+                leading.recv().unwrap();
+                let joiner = scope.spawn(|| get(memo, || Fill::Computed("unused".into())));
+                assert_eq!(leader.join().unwrap(), "a");
+                assert_eq!(joiner.join().unwrap(), "a");
+            });
+            assert_eq!(memo.stats().lookups, CacheStats { hits: 1, misses: 1 });
+            assert_eq!(joined() - before, 1);
+            assert!(memo.no_slots());
+        }
+
+        /// A joiner only waits: its own fill never runs, and it returns
+        /// only once the leader has filled its entry and closed its slot.
+        #[test]
+        fn a_joiner_arriving_after_the_scan_closed_only_waits() {
+            // Records into the report cache's metrics, which no test reads.
+            let memo = Memo::new(crate::obs::synth_cache, |_, value: &String| {
+                value.capacity()
+            });
+            let (led, leading) = mpsc::channel();
+            let (go, finish) = mpsc::channel::<()>();
+            std::thread::scope(|scope| {
+                let memo = &memo;
+                let leader = scope.spawn(move || {
+                    get(memo, || {
+                        led.send(()).unwrap();
+                        let _ = finish.recv_timeout(Duration::from_secs(10));
+                        Fill::Computed("a".into())
+                    })
+                });
+                leading.recv().unwrap();
+                let joiner = scope.spawn(|| get(memo, || panic!("a joiner never fills")));
+                memo.await_joiners(7, 1);
+                assert!(!joiner.is_finished(), "the joiner waits for the leader");
+                go.send(()).unwrap();
+                assert_eq!(leader.join().unwrap(), "a");
+                assert_eq!(joiner.join().unwrap(), "a");
+            });
+            assert!(memo.no_slots());
+            // The leader's entry is resident: the next request hits it.
+            assert_eq!(get(&memo, || panic!("a hit never fills")), "a");
+            assert_eq!(memo.stats().lookups, CacheStats { hits: 2, misses: 1 });
+        }
     }
 }

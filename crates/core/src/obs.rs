@@ -67,6 +67,10 @@ table_handle!(
 table_handle!(
     /// `alloc_cache.*` — the allocation-first design table.
     alloc_cache, "alloc_cache");
+#[cfg(test)]
+table_handle!(
+    /// `memo_test.*` — the memo table a test reads the metrics of.
+    memo_test, "memo_test");
 
 counter_handle!(
     /// `synth_cache.key_prefixes` — `(DFG, library)` cache-key prefixes

@@ -634,7 +634,8 @@ mod tests {
         // A/B) pair must run concurrently on two 1-cycle adders, so the
         // true optimum is the all-type-2 design at 0.82783 (the paper's
         // claimed 0.90713 schedule violates its own dependences — see
-        // EXPERIMENTS.md). The engine must find that optimum.
+        // "Departures from the paper" in README.md). The engine must
+        // find that optimum.
         let g = figure4a();
         let lib = Library::table1();
         let d = Synthesizer::new(&g, &lib)

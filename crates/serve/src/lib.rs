@@ -28,8 +28,9 @@
 //!
 //! Plus resilience under misbehaving clients and faults: `--max-conns`
 //! caps simultaneous connections (one structured turn-away beyond it),
-//! the admission queue is round-robin fair across connections so a
-//! flooder cannot starve a polite client, read/write timeouts drop
+//! a connection holds at most one request in the admission queue or on
+//! the pool, so a client pipelining many requests cannot push a polite
+//! client's request behind them, read/write timeouts drop
 //! stalled peers, a disconnect cancels that client's queued work, and
 //! `shutdown` drains in-flight requests within `--drain-timeout-ms`
 //! before answering the rest with `shutdown` + `retry_after_ms`.

@@ -11,9 +11,13 @@
 //! * each **reader** frames request lines. Admin methods (`ping`,
 //!   `workloads`, `flows`, `metrics`, `shutdown`) are answered inline —
 //!   they never queue behind synthesis. Heavy methods (`synth`,
-//!   `batch`, `sweep`, `pareto`) go through a bounded [`FairQueue`]; a
-//!   full queue yields an immediate structured `overloaded` rejection
-//!   with a load-aware `retry_after_ms`, never a hang. While a job is
+//!   `batch`, `sweep`, `pareto`) go through a bounded first-in-first-out
+//!   admission queue; a full queue yields an immediate structured
+//!   `overloaded` rejection with a load-aware `retry_after_ms`, never a
+//!   hang. A reader parses its connection's next line only once the
+//!   last heavy request is answered, so a connection holds at most one
+//!   job, queued or running: one that pipelines many requests cannot
+//!   push another connection's request behind them. While a job is
 //!   queued the reader keeps watching its socket: a disconnect cancels
 //!   the job (`serve.abandoned_requests`) instead of wedging a worker
 //!   on a client that left. A request line stalled mid-frame past
@@ -22,8 +26,7 @@
 //! * each admitted request posts one task to the engine's **worker
 //!   pool**, at most `--jobs` threads that also run every batch's
 //!   helpers, so `--jobs` bounds the daemon's synthesis threads. A task
-//!   answers the queue's fairest job, round-robin across connections, so
-//!   one flooding client cannot starve a polite one. Each job runs under
+//!   answers the queue's oldest job. Each job runs under
 //!   `catch_unwind`, so a panicking job answers `internal` instead of
 //!   wedging its client;
 //! * per-request `deadline_ms` is checked at admission, at dequeue, and
@@ -55,7 +58,7 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -79,63 +82,16 @@ fn rejection_hint(queue_len: usize, queue_depth: usize) -> u64 {
 struct QueuedJob {
     request: Request,
     deadline: Option<Instant>,
-    conn_id: u64,
     cancelled: Arc<AtomicBool>,
     reply: mpsc::Sender<String>,
-}
-
-/// The admission queue, round-robin fair across connections: one lane
-/// per connection with queued work, served front-lane-first with the
-/// lane rotated to the back after each dequeue. A connection
-/// pipelining many requests fills its own lane; it cannot push another
-/// connection's single request behind all of them.
-struct FairQueue {
-    lanes: VecDeque<(u64, VecDeque<QueuedJob>)>,
-    len: usize,
-}
-
-impl FairQueue {
-    fn new() -> FairQueue {
-        FairQueue {
-            lanes: VecDeque::new(),
-            len: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn push(&mut self, job: QueuedJob) {
-        self.len += 1;
-        if let Some((_, lane)) = self.lanes.iter_mut().find(|(id, _)| *id == job.conn_id) {
-            lane.push_back(job);
-            return;
-        }
-        let mut lane = VecDeque::new();
-        let conn_id = job.conn_id;
-        lane.push_back(job);
-        self.lanes.push_back((conn_id, lane));
-    }
-
-    fn pop(&mut self) -> Option<QueuedJob> {
-        while let Some((conn_id, mut lane)) = self.lanes.pop_front() {
-            if let Some(job) = lane.pop_front() {
-                self.len -= 1;
-                if !lane.is_empty() {
-                    self.lanes.push_back((conn_id, lane));
-                }
-                return Some(job);
-            }
-        }
-        None
-    }
 }
 
 /// State shared by the accept thread, readers, and pool tasks.
 struct Shared {
     engine: Engine,
-    queue: Mutex<FairQueue>,
+    /// The admission queue, oldest first. A connection holds at most one
+    /// job, queued or running (see the module docs).
+    queue: Mutex<VecDeque<QueuedJob>>,
     /// Admitted jobs not yet answered, queued or running.
     unanswered: Mutex<usize>,
     /// Signalled when `unanswered` falls to zero.
@@ -150,7 +106,6 @@ struct Shared {
     drain_deadline: Mutex<Option<Instant>>,
     shutdown: AtomicBool,
     active_conns: AtomicUsize,
-    next_conn_id: AtomicU64,
     addr: SocketAddr,
 }
 
@@ -255,7 +210,7 @@ impl Server {
         }
         let shared = Arc::new(Shared {
             engine,
-            queue: Mutex::new(FairQueue::new()),
+            queue: Mutex::new(VecDeque::new()),
             unanswered: Mutex::new(0),
             answered: Condvar::new(),
             queue_depth: config.queue_depth,
@@ -266,7 +221,6 @@ impl Server {
             drain_deadline: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
-            next_conn_id: AtomicU64::new(0),
             addr,
         });
         let accept = {
@@ -336,10 +290,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         obs::connections().incr();
         shared.active_conns.fetch_add(1, Ordering::SeqCst);
-        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::clone(shared);
         std::thread::spawn(move || {
-            let _ = serve_connection(stream, conn_id, &shared);
+            let _ = serve_connection(stream, &shared);
             shared.active_conns.fetch_sub(1, Ordering::SeqCst);
         });
     }
@@ -380,11 +333,7 @@ fn write_response(stream: &mut TcpStream, mut line: String) -> std::io::Result<(
 /// Frames request lines off one connection until the peer hangs up,
 /// stalls past a timeout, the server shuts down, or a `shutdown`
 /// request closes it.
-fn serve_connection(
-    mut stream: TcpStream,
-    conn_id: u64,
-    shared: &Arc<Shared>,
-) -> std::io::Result<()> {
+fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
     stream.set_read_timeout(Some(POLL))?;
     stream.set_write_timeout(Some(shared.write_timeout))?;
     stream.set_nodelay(true).ok();
@@ -401,7 +350,7 @@ fn serve_connection(
             if line.trim().is_empty() {
                 continue;
             }
-            match handle_line(shared, conn_id, line.trim()) {
+            match handle_line(shared, line.trim()) {
                 Handled::Line { line, keep_going } => {
                     write_response(&mut stream, line)?;
                     if !keep_going {
@@ -548,7 +497,7 @@ fn await_pending(
 
 /// Dispatches one request line; admin methods answer inline, heavy
 /// methods come back as [`Handled::Pending`] for the reader to await.
-fn handle_line(shared: &Arc<Shared>, conn_id: u64, line: &str) -> Handled {
+fn handle_line(shared: &Arc<Shared>, line: &str) -> Handled {
     // rchls-lint: allow(wall-clock, reason = "request latency metric and deadline anchor; never reaches a deterministic document")
     let received = Instant::now();
     let request = match protocol::parse_request(line) {
@@ -601,7 +550,7 @@ fn handle_line(shared: &Arc<Shared>, conn_id: u64, line: &str) -> Handled {
             return Handled::Shutdown(protocol::ok_line(&id, stopping));
         }
         "synth" | "batch" | "sweep" | "pareto" => {
-            return match admit(shared, conn_id, request, deadline, received) {
+            return match admit(shared, request, deadline, received) {
                 Ok(pending) => Handled::Pending(pending),
                 Err(line) => {
                     obs::request_micros().record(received.elapsed().as_micros() as u64);
@@ -638,7 +587,6 @@ fn handle_line(shared: &Arc<Shared>, conn_id: u64, line: &str) -> Handled {
 /// to answer it, and hand back the [`Pending`] the reader awaits.
 fn admit(
     shared: &Arc<Shared>,
-    conn_id: u64,
     request: Request,
     deadline: Option<Instant>,
     received: Instant,
@@ -668,10 +616,9 @@ fn admit(
                 Some(hint),
             ));
         }
-        queue.push(QueuedJob {
+        queue.push_back(QueuedJob {
             request,
             deadline,
-            conn_id,
             cancelled: Arc::clone(&cancelled),
             reply,
         });
@@ -687,10 +634,10 @@ fn admit(
     })
 }
 
-/// One pool task per admitted request: answers the queue's fairest job,
+/// One pool task per admitted request: answers the queue's oldest job,
 /// which need not be the one the task was posted for.
 fn answer_next(shared: &Arc<Shared>) {
-    let Some(job) = lock_unpoisoned(&shared.queue).pop() else {
+    let Some(job) = lock_unpoisoned(&shared.queue).pop_front() else {
         return;
     };
     // A cancelled job's client left, and its reader already counted the
@@ -1039,54 +986,208 @@ fn key(k: &str) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{response_error_kind, response_result, Client};
+    use rchls_core::{SynthReport, SynthRequest, SynthesisError};
+    use std::io::BufRead;
 
-    fn job(conn_id: u64, tag: &str) -> QueuedJob {
-        let (reply, _keep) = mpsc::channel();
-        std::mem::forget(_keep);
-        QueuedJob {
-            request: Request {
-                id: Value::UInt(1),
-                method: tag.to_owned(),
-                params: Value::Null,
-                deadline_ms: None,
-            },
-            deadline: None,
-            conn_id,
-            cancelled: Arc::new(AtomicBool::new(false)),
-            reply,
+    const TEN_SECONDS: Duration = Duration::from_secs(10);
+
+    /// A registered strategy that records the latency bound of each run
+    /// in the order the runs start. A run whose bound is held waits for
+    /// its release, for at most ten seconds; every run answers as
+    /// `baseline`.
+    struct Recorder {
+        id: &'static str,
+        held: &'static [u32],
+        runs: Mutex<Runs>,
+        changed: Condvar,
+    }
+
+    /// The bounds of the runs started so far, and of the held runs
+    /// released so far.
+    #[derive(Default)]
+    struct Runs {
+        started: Vec<u32>,
+        released: Vec<u32>,
+    }
+
+    impl rchls_core::Strategy for Recorder {
+        fn id(&self) -> &str {
+            self.id
+        }
+
+        fn run(&self, request: &SynthRequest<'_>) -> Result<SynthReport, SynthesisError> {
+            let latency = request.bounds.latency;
+            let mut runs = self.runs.lock().unwrap();
+            runs.started.push(latency);
+            self.changed.notify_all();
+            if self.held.contains(&latency) {
+                let released = self
+                    .changed
+                    .wait_timeout_while(runs, TEN_SECONDS, |r| !r.released.contains(&latency));
+                drop(released);
+            }
+            flow::strategy("baseline").unwrap().run(request)
         }
     }
 
+    impl Recorder {
+        /// Registers a recorder under `id` that holds the runs at `held`.
+        fn register(id: &'static str, held: &'static [u32]) -> Arc<Recorder> {
+            let recorder = Arc::new(Recorder {
+                id,
+                held,
+                runs: Mutex::new(Runs::default()),
+                changed: Condvar::new(),
+            });
+            flow::register_strategy(Arc::clone(&recorder) as Arc<dyn rchls_core::Strategy>)
+                .unwrap();
+            recorder
+        }
+
+        /// A `synth` request's params: this strategy at `latency`.
+        fn params(&self, latency: u32) -> Value {
+            let job = SynthJob::new("builtin:figure4a", latency, 4).with_strategy(self.id);
+            serde_json::to_value(&job)
+        }
+
+        /// Waits until `n` runs have started.
+        fn await_started(&self, n: usize) {
+            let runs = self.runs.lock().unwrap();
+            let runs = self
+                .changed
+                .wait_timeout_while(runs, TEN_SECONDS, |r| r.started.len() < n);
+            assert_eq!(runs.unwrap().0.started.len(), n, "run {n} never started");
+        }
+
+        /// Lets the held run at `latency` finish.
+        fn release(&self, latency: u32) {
+            self.runs.lock().unwrap().released.push(latency);
+            self.changed.notify_all();
+        }
+
+        fn started(&self) -> Vec<u32> {
+            self.runs.lock().unwrap().started.clone()
+        }
+
+        /// Opens a connection that sends one `synth` line per
+        /// `(id, latency)` in a single write, so the daemon reads them
+        /// as one pipelined burst.
+        fn pipeline(&self, addr: &str, requests: &[(u64, u32)]) -> TcpStream {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(TEN_SECONDS)).unwrap();
+            let lines: String = requests
+                .iter()
+                .map(|&(id, latency)| {
+                    protocol::request_line(id, "synth", Some(&self.params(latency)), None) + "\n"
+                })
+                .collect();
+            stream.write_all(lines.as_bytes()).unwrap();
+            stream
+        }
+    }
+
+    /// A daemon on an ephemeral loopback port, and its address.
+    fn start(jobs: usize, queue_depth: usize) -> (ServerHandle, String) {
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            jobs,
+            queue_depth,
+            ..ServeConfig::default()
+        };
+        let handle = Server::start(config, Library::table1()).expect("bind ephemeral port");
+        let addr = handle.addr().to_string();
+        (handle, addr)
+    }
+
+    /// Reads `ids.len()` response lines off `stream` and checks that each
+    /// succeeded and that they answer `ids` in that order.
+    fn expect_answers(stream: TcpStream, ids: &[u64]) {
+        let mut stream = std::io::BufReader::new(stream);
+        for &id in ids {
+            let mut line = String::new();
+            stream.read_line(&mut line).unwrap();
+            let doc: Value = serde_json::from_str(&line).unwrap();
+            assert!(response_result(&doc).is_some(), "{doc:?}");
+            assert_eq!(map_get(doc.as_map().unwrap(), "id"), Some(&Value::UInt(id)));
+        }
+    }
+
+    /// The admission queue is fair across connections: a connection's
+    /// pipelined requests hold no queue slot, and run behind a request
+    /// another connection sent while they waited. A second held worker
+    /// lets that request leave the queue before connection A's reader
+    /// admits its next line: with one worker, the reader admits it the
+    /// moment the first answer is sent, racing the worker's next dequeue
+    /// for the only slot.
     #[test]
     fn fair_queue_round_robins_across_connections() {
-        // Connection 1 pipelines three requests before connection 2's
-        // single request arrives; round-robin still alternates lanes,
-        // so conn 2 waits behind one conn-1 job, not all three.
-        let mut queue = FairQueue::new();
-        for tag in ["a1", "a2", "a3"] {
-            queue.push(job(1, tag));
+        let recorder = Recorder::register("server-test-fairness", &[6, 9]);
+        // Two workers, one queue slot.
+        let (handle, addr) = start(2, 1);
+        // Connection A pipelines three requests. The first holds a
+        // worker; the reader keeps the other two lines unparsed.
+        let a = recorder.pipeline(&addr, &[(1, 6), (2, 7), (3, 8)]);
+        recorder.await_started(1);
+        // Another connection holds the second worker.
+        let (answered, answers) = mpsc::channel();
+        let send = |latency: u32| {
+            let (addr, answered) = (addr.clone(), answered.clone());
+            let params = recorder.params(latency);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&addr).unwrap();
+                let doc = client.call("synth", Some(&params), None).unwrap();
+                answered.send((latency, doc)).unwrap();
+            })
+        };
+        let held = send(9);
+        recorder.await_started(2);
+
+        // A's pipelined lines hold no slot: two more connections each send
+        // one request, one takes the only slot, and the other is refused.
+        let racers = [10, 11].map(send);
+        let (refused, doc) = answers
+            .recv_timeout(TEN_SECONDS)
+            .expect("an immediate rejection");
+        assert_eq!(response_error_kind(&doc), Some("overloaded"), "{doc:?}");
+        let admitted = if refused == 10 { 11 } else { 10 };
+
+        // The second worker, released, takes the admitted request off the
+        // queue. Only then is A's first request released.
+        recorder.release(9);
+        recorder.await_started(3);
+        recorder.release(6);
+        expect_answers(a, &[1, 2, 3]);
+        for _ in 0..2 {
+            let (_, doc) = answers
+                .recv_timeout(TEN_SECONDS)
+                .expect("admitted work is answered");
+            assert!(response_result(&doc).is_some(), "{doc:?}");
         }
-        queue.push(job(2, "b1"));
-        queue.push(job(3, "c1"));
-        let order: Vec<String> = std::iter::from_fn(|| queue.pop())
-            .map(|j| j.request.method)
-            .collect();
-        assert_eq!(order, ["a1", "b1", "c1", "a2", "a3"]);
-        assert_eq!(queue.len(), 0);
-        assert!(queue.pop().is_none());
+        held.join().unwrap();
+        for racer in racers {
+            racer.join().unwrap();
+        }
+        // The admitted request ran before A's second and third.
+        assert_eq!(recorder.started(), [6, 9, admitted, 7, 8]);
+        handle.shutdown();
+        handle.join();
     }
 
+    /// A connection's pipelined requests run one at a time and are
+    /// answered in the order they arrived, though a worker and queue
+    /// slots are free while the first is held.
     #[test]
     fn fair_queue_keeps_arrival_order_within_a_connection() {
-        let mut queue = FairQueue::new();
-        queue.push(job(7, "first"));
-        queue.push(job(7, "second"));
-        queue.push(job(7, "third"));
-        assert_eq!(queue.len(), 3);
-        let order: Vec<String> = std::iter::from_fn(|| queue.pop())
-            .map(|j| j.request.method)
-            .collect();
-        assert_eq!(order, ["first", "second", "third"]);
+        let recorder = Recorder::register("server-test-arrival-order", &[6]);
+        let (handle, addr) = start(2, 4);
+        let a = recorder.pipeline(&addr, &[(1, 6), (2, 7), (3, 8)]);
+        recorder.await_started(1);
+        recorder.release(6);
+        expect_answers(a, &[1, 2, 3]);
+        assert_eq!(recorder.started(), [6, 7, 8]);
+        handle.shutdown();
+        handle.join();
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * [`netlist`] — gate-level netlists and soft-error fault injection;
 //! * [`reslib`] — the characterized resource library (Table 1) and the
 //!   Q_critical → SER → failure rate → reliability chain (Figure 2);
-//! * [`sched`] — ASAP/ALAP, partition-density, force-directed and list
-//!   scheduling;
+//! * [`sched`] — ASAP/ALAP, partition-density, force-directed and
+//!   modulo (pipelined) scheduling;
 //! * [`bind`] — version assignments, left-edge and coloring binders;
 //! * [`core`] — the Figure-6 synthesis algorithm, the NMR baseline, the
 //!   combined approach, sweep drivers, the dual-objective extensions,

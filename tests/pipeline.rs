@@ -16,7 +16,8 @@ fn run(id: &str, dfg: &Dfg, library: &Library, bounds: Bounds) -> Result<Design,
         .map(|report| report.design)
 }
 
-/// Representative feasible bounds per benchmark (see DESIGN.md §5).
+/// Representative feasible bounds per benchmark (FIR and EWF sit above
+/// the paper's: see "Departures from the paper" in README.md).
 fn bounds_for(name: &str) -> Bounds {
     match name {
         "figure4a" => Bounds::new(5, 4),
